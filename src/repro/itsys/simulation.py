@@ -740,16 +740,17 @@ class CompromiseSimulation:
             if targeted_pool:
                 recovery_index = 0
                 for time in arrivals.events(rng, horizon):
-                    entry_index = policy.choose(rng, time, compromised)
                     # Recoveries strictly before this exploit fire first
                     # (exploit < recovery at equal timestamps, matching the
-                    # bitset loop and BFTService.run_campaign).
+                    # bitset loop and BFTService.run_campaign), so the
+                    # policy aims at the post-recovery mask.
                     while (
                         recovery_index < n_recoveries
                         and recovery_times[recovery_index] < time
                     ):
                         compromised = 0
                         recovery_index += 1
+                    entry_index = policy.choose(rng, time, compromised)
                     landed = False
                     if entry_index is not None:
                         newly = victim_masks[entry_index] & ~compromised

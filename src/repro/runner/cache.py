@@ -51,7 +51,10 @@ from repro.snapshots.digests import entry_digest as normalized_entry_digest
 #: Bump when the cached payload layout or the digest recipe changes.
 #: Schema 2: cell keys embed the *scoped* corpus digest (selective
 #: invalidation after incremental ingests) instead of the full-corpus one.
-CACHE_SCHEMA = 2
+#: Schema 3: the adaptive adversary now aims at the mask left after the
+#: recoveries due before each event, which changes adaptive cells with
+#: recovery; their schema-2 entries must not be served.
+CACHE_SCHEMA = 3
 
 
 def corpus_digest(entries: Iterable[VulnerabilityEntry]) -> str:

@@ -171,7 +171,36 @@ def test_scenario_runs_are_seed_deterministic(spec, seed):
     assert first == again
 
 
-# -- spec normalisation and validation --------------------------------------------
+def test_adaptive_policy_aims_at_the_post_recovery_mask(monkeypatch):
+    """Regression: ``choose`` used to see the mask before due recoveries."""
+    seen = []
+    original = AdaptivePolicy.choose
+
+    def recording_choose(self, rng, now, compromised):
+        seen.append((now, compromised))
+        return original(self, rng, now, compromised)
+
+    monkeypatch.setattr(AdaptivePolicy, "choose", recording_choose)
+    group = ("Debian", "OpenBSD", "Solaris", "Windows2003")
+    recoveries = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    simulation = CompromiseSimulation(POOL, seed=3)
+    checked = 0
+    for run in range(20):
+        seen.clear()
+        simulation.run_range(
+            group, run, run + 1, exploit_rate=3.0, horizon=6.0,
+            recovery_interval=1.0,
+            scenario=ScenarioSpec(family="adaptive", explore=0.0),
+        )
+        previous = 0.0
+        for now, compromised in seen:
+            # A recovery at t fires before an exploit at t' iff t < t', and
+            # after an exploit landing at exactly t.
+            if any(previous <= t < now for t in recoveries):
+                assert compromised == 0, (run, now, compromised)
+                checked += 1
+            previous = now
+    assert checked > 0
 
 
 class TestScenarioSpec:
