@@ -22,8 +22,9 @@ with ``--snapshot ID``) to run them on a snapshot state of a persistent
 ingested database.  ``--engine bitset|naive|packed`` selects the
 shared-vulnerability engine (the precompiled bitset incidence index by
 default; the naive set re-intersection for cross-checking; the numpy
-packed-word index for large catalogues).  Worked examples for every command
-live in ``docs/cli.md``.
+packed-word index for large catalogues; ``simulate`` and ``sweep`` take
+``bitset`` or ``naive``).  Worked examples for every command live in
+``docs/cli.md``.
 """
 
 from __future__ import annotations
@@ -312,23 +313,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         smart=args.smart,
         scenario=scenario,
     )
-    analyses = {
-        name: simulation.single_exploit_analysis(name, os_names, quorum_model=args.quorum_model)
-        for name, os_names in configurations.items()
-    }
     sweep_intervals: Optional[List[Optional[float]]] = None
-    if args.recovery_sweep:
-        sweep_intervals = [None] + list(args.recovery_sweep)
-        results = [
-            result
+    try:
+        analyses = {
+            name: simulation.single_exploit_analysis(
+                name, os_names, quorum_model=args.quorum_model
+            )
             for name, os_names in configurations.items()
-            for result in simulation.recovery_sweep(
-                name, os_names, sweep_intervals, **campaign
-            ).values()
-        ]
-    else:
-        campaign["recovery_interval"] = args.recovery_interval
-        results = simulation.compare(configurations, **campaign)
+        }
+        if args.recovery_sweep:
+            sweep_intervals = [None] + list(args.recovery_sweep)
+            results = [
+                result
+                for name, os_names in configurations.items()
+                for result in simulation.recovery_sweep(
+                    name, os_names, sweep_intervals, **campaign
+                ).values()
+            ]
+        else:
+            campaign["recovery_interval"] = args.recovery_interval
+            results = simulation.compare(configurations, **campaign)
+    except SimulationError as error:
+        print(f"invalid campaign: {error}", file=sys.stderr)
+        return 2
 
     if args.json:
         import dataclasses
@@ -709,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared-vulnerability engine: the precompiled bitset "
                              "incidence index (default), the naive set "
                              "re-intersection kept for cross-checking, or the "
-                             "numpy packed-word index for large catalogues")
+                             "numpy packed-word index for large catalogues; "
+                             "simulate and sweep accept bitset or naive")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, help_text: str, epilog: str) -> argparse.ArgumentParser:

@@ -1,10 +1,12 @@
 """Composable adversary scenario library for :class:`CompromiseSimulation`.
 
-The paper's simulator (and :meth:`CompromiseSimulation.run_configuration`)
-models a *single* adversary throwing one exploit at a time from a Poisson or
-Weibull-aging renewal process.  This module grows that into a small library
-of richer adversary *scenarios*, each decomposed into the same two pluggable
-pieces:
+Every campaign the simulator's event loop runs is an arrival model ×
+adversary policy pair compiled by :func:`build_scenario`.  The paper's
+classic adversary (``scenario=None``) is :class:`RenewalArrivals` ×
+:class:`UniformPolicy`: one Poisson or Weibull-aging renewal stream, each
+event throwing a uniformly random exploit.  This module grows that into a
+small library of richer adversary *scenarios*, built from the same two
+pluggable pieces:
 
 * an :class:`ArrivalModel` -- *when* exploit events happen.  Implementations
   yield strictly increasing absolute event times drawn from the per-run
@@ -470,19 +472,22 @@ class AdaptivePolicy(AdversaryPolicy):
 
 
 def build_scenario(
-    spec: ScenarioSpec,
+    spec: Optional[ScenarioSpec],
     draw_gap: Callable,
     victim_masks: Sequence[int],
     replicas: int,
 ) -> Tuple[ArrivalModel, AdversaryPolicy]:
     """Compile a spec into its (arrival model, adversary policy) pair.
 
-    ``draw_gap`` is the base inter-arrival sampler (the campaign's
-    ``arrival``/``shape``/``exploit_rate`` knobs compose with every
-    scenario); ``victim_masks`` is the compiled incidence of the targeted
-    pool over the replica group.
+    ``spec=None`` compiles the classic adversary (renewal arrivals ×
+    uniform choice).  ``draw_gap`` is the base inter-arrival sampler (the
+    campaign's ``arrival``/``shape``/``exploit_rate`` knobs compose with
+    every scenario); ``victim_masks`` is the compiled incidence of the
+    targeted pool over the replica group.
     """
     pool_size = len(victim_masks)
+    if spec is None:
+        return RenewalArrivals(draw_gap), UniformPolicy(pool_size)
     if spec.family == "campaign":
         return (
             SuperposedArrivals(draw_gap, spec.adversaries),

@@ -10,23 +10,25 @@ This turns the paper's qualitative argument -- "diversity reduces the chance
 that one vulnerability takes out several replicas at once" -- into a number
 that can be compared across configurations.
 
-Interchangeable execution engines are provided, mirroring the analysis
-engine split of :mod:`repro.analysis.engine`:
+Two execution engines are provided, mirroring the analysis engine split of
+:mod:`repro.analysis.engine`:
 
-* ``"bitset"`` (default) -- the attacker's exploitable pool is compiled
-  **once per simulation** (the naive path re-filters the whole corpus on
-  every run), each exploit's victim set over the replica group is a
-  precompiled integer bitmask (:class:`repro.analysis.engine.ReplicaIncidence`)
-  and per-event damage is an AND-NOT + popcount, so a 500-run campaign runs
-  at hardware speed;
-* ``"packed"`` -- accepted so the packed analysis engine is selectable
-  end-to-end (``repro sweep --engine packed``); replica-group victim masks
-  already fit one machine word, so it shares the bitset event loop and is
-  bit-for-bit identical to it by construction;
+* ``"bitset"`` (default) -- one event loop for every campaign.  The
+  attacker's exploitable pool is compiled **once per simulation** (the
+  naive path re-filters the whole corpus on every run), each exploit's
+  victim set over the replica group is a precompiled integer bitmask
+  (:class:`repro.analysis.engine.ReplicaIncidence`) and per-event damage is
+  an AND-NOT + popcount, so a 500-run campaign runs at hardware speed.
+  *When* events happen and *what* each event does come from the arrival
+  model × adversary policy pair compiled by
+  :func:`repro.itsys.scenarios.build_scenario`; the paper's classic
+  adversary (``scenario=None``) is renewal arrivals × uniform choice;
 * ``"naive"`` -- the original per-run ``Attacker`` + ``BFTService`` object
-  path, kept as the reference implementation for cross-checking.
+  path, kept as the reference implementation that classic campaigns are
+  cross-checked against.  Scenario campaigns have no object-path twin and
+  run the event loop on either engine.
 
-All engines consume the per-run random streams identically (seed
+Both engines consume the per-run random streams identically (seed
 ``seed + 7919 * run_index``, one ``expovariate``/``weibullvariate`` plus one
 ``choice`` per exploit), so for a fixed seed they produce **bit-for-bit
 identical** :class:`SimulationResult` values -- asserted by
@@ -59,12 +61,9 @@ intervals on every estimated probability.
 
 Richer adversaries live in :mod:`repro.itsys.scenarios`: passing a
 :class:`~repro.itsys.scenarios.ScenarioSpec` as the ``scenario`` campaign
-keyword routes ``run_range`` through a scenario event loop built from a
-pluggable arrival-model/adversary-policy pair compiled over the same
-incidence bitmasks.  The scenario loop is engine-independent (all three
-engine labels execute the identical code path, so bitset ≡ packed ≡ naive
-by construction) and preserves the per-run seeding contract, so scenario
-campaigns merge, cache and sweep exactly like classic ones.
+keyword swaps the arrival-model/adversary-policy pair the event loop runs.
+The per-run seeding contract is unchanged, so scenario campaigns merge,
+cache and sweep exactly like classic ones.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ from repro.itsys.replica import ReplicaGroup
 from repro.itsys.scenarios import ScenarioSpec, build_scenario
 
 #: Execution engines understood by :class:`CompromiseSimulation`.
-ENGINES: Tuple[str, ...] = ("bitset", "naive", "packed")
+ENGINES: Tuple[str, ...] = ("bitset", "naive")
 
 #: Exploit inter-arrival processes understood by ``run_configuration``.
 ARRIVALS: Tuple[str, ...] = ("poisson", "aging")
@@ -332,7 +331,7 @@ class CompromiseSimulation:
         self._engine = engine
         self._catalogued = catalogued
         #: Config-filtered exploitable pool, compiled lazily *once* and shared
-        #: by every configuration run on the bitset engine.
+        #: by every configuration the event loop runs.
         self._pool: Optional[List[VulnerabilityEntry]] = None
 
     @property
@@ -456,24 +455,24 @@ class CompromiseSimulation:
             raise SimulationError(
                 f"unknown arrival process {arrival!r}; expected one of {ARRIVALS}"
             )
-        if scenario is not None:
-            # One shared loop for all engine labels: scenario campaigns are
-            # engine-independent by construction (asserted by the
-            # equivalence property suite all the same).
-            tallies = self._campaign_tallies_scenario(
-                os_names, run_start, run_stop, exploit_rate, horizon,
-                quorum_model, targeted, recovery_interval, arrival, shape,
-                smart, scenario,
-            )
-        elif self._engine == "naive":
+        if exploit_rate <= 0:
+            raise SimulationError("the exploit arrival rate must be positive")
+        if arrival == "aging" and shape <= 0:
+            raise SimulationError("the inter-arrival shape must be positive")
+        if horizon <= 0:
+            raise SimulationError("the campaign horizon must be positive")
+        if recovery_interval is not None and recovery_interval <= 0:
+            raise SimulationError("the recovery interval must be positive or None")
+        if scenario is None and self._engine == "naive":
             tallies = self._campaign_tallies_naive(
                 os_names, run_start, run_stop, exploit_rate, horizon,
                 quorum_model, targeted, recovery_interval, arrival, shape, smart,
             )
         else:
-            tallies = self._campaign_tallies_bitset(
+            tallies = self._campaign_tallies(
                 os_names, run_start, run_stop, exploit_rate, horizon,
-                quorum_model, targeted, recovery_interval, arrival, shape, smart,
+                quorum_model, targeted, recovery_interval, arrival, shape,
+                smart, scenario,
             )
         violations, liveness_losses, compromised_counts, violation_times = tallies
         return RunRangeTallies(
@@ -539,7 +538,7 @@ class CompromiseSimulation:
                 liveness_losses += 1
         return violations, liveness_losses, compromised_counts, violation_times
 
-    def _campaign_tallies_bitset(
+    def _campaign_tallies(
         self,
         os_names: Sequence[str],
         run_start: int,
@@ -552,21 +551,17 @@ class CompromiseSimulation:
         arrival: str,
         shape: float,
         smart: bool,
+        scenario: Optional[ScenarioSpec],
     ) -> Tuple[int, int, List[int], List[float]]:
-        """Fast path: compile once, then one AND-NOT + popcount per event.
+        """The event loop: compile once, then one AND-NOT + popcount per event.
 
-        Consumes the per-run random streams exactly like the naive path (one
-        ``expovariate``/``weibullvariate`` then one ``choice`` per exploit,
-        drawn from ``random.Random(seed + 7919 * run_index)``), so results
-        are bit-for-bit identical for a fixed seed.
+        *When* events happen and *what* each event does are delegated to the
+        pair compiled by :func:`repro.itsys.scenarios.build_scenario`
+        (``scenario=None`` is the classic renewal × uniform adversary).  All
+        draws come from the per-run ``Random(seed + 7919 * run_index)``
+        stream -- for classic campaigns in the naive path's order -- so
+        results match the naive path and ranges merge bit for bit.
         """
-        # Mirror the parameter validation the naive path gets from Attacker.
-        if exploit_rate <= 0:
-            raise SimulationError("the exploit arrival rate must be positive")
-        if arrival == "aging" and shape <= 0:
-            raise SimulationError("the inter-arrival shape must be positive")
-        if horizon <= 0:
-            raise SimulationError("the campaign horizon must be positive")
         pool = self._compiled_pool()
         group = self._group(os_names, quorum_model)
         n, f, quorum = group.n, group.f, group.quorum_size
@@ -585,136 +580,21 @@ class CompromiseSimulation:
             if entry is not None:
                 opening_mask = incidence.victim_mask_for(entry.affected_os)
         recovery_times: List[float] = []
-        if recovery_interval is not None and recovery_interval > 0:
+        if recovery_interval is not None:
             t = recovery_interval
             while t <= horizon:  # same float accumulation as BFTService
                 recovery_times.append(t)
                 t += recovery_interval
         n_recoveries = len(recovery_times)
-        pool_indices = range(len(targeted_pool))
-        aging = arrival == "aging"
-        scale = 1.0 / exploit_rate
-
-        violations = 0
-        liveness_losses = 0
-        compromised_counts: List[int] = []
-        violation_times: List[float] = []
-        for run_index in range(run_start, run_stop):
-            rng = random.Random(self._seed + 7919 * run_index)
-            compromised = 0
-            peak = 0
-            violation_time: Optional[float] = None
-            liveness_time: Optional[float] = None
-            if opening_mask:
-                # The smart opening shot lands at time 0.0, before any
-                # recovery (those start strictly after 0).
-                compromised = opening_mask
-                count = compromised.bit_count()
-                peak = count
-                if count > f:
-                    violation_time = 0.0
-                if n - count < quorum:
-                    liveness_time = 0.0
-            if targeted_pool:
-                draw_gap = rng.weibullvariate if aging else rng.expovariate
-                choice = rng.choice
-                recovery_index = 0
-                time = 0.0
-                while True:
-                    time += draw_gap(scale, shape) if aging else draw_gap(exploit_rate)
-                    if time > horizon:
-                        break
-                    entry_index = choice(pool_indices)
-                    # Recoveries strictly before this exploit fire first
-                    # (exploit < recovery at equal timestamps, as in
-                    # BFTService.run_campaign's priority sort).
-                    while (
-                        recovery_index < n_recoveries
-                        and recovery_times[recovery_index] < time
-                    ):
-                        compromised = 0
-                        recovery_index += 1
-                    newly = victim_masks[entry_index] & ~compromised
-                    if newly:
-                        compromised |= newly
-                        count = compromised.bit_count()
-                        if count > peak:
-                            peak = count
-                        if violation_time is None and count > f:
-                            violation_time = time
-                        if liveness_time is None and n - count < quorum:
-                            liveness_time = time
-            compromised_counts.append(peak)
-            if violation_time is not None:
-                violations += 1
-                violation_times.append(violation_time)
-            if liveness_time is not None:
-                liveness_losses += 1
-        return violations, liveness_losses, compromised_counts, violation_times
-
-    def _campaign_tallies_scenario(
-        self,
-        os_names: Sequence[str],
-        run_start: int,
-        run_stop: int,
-        exploit_rate: float,
-        horizon: float,
-        quorum_model: str,
-        targeted: bool,
-        recovery_interval: Optional[float],
-        arrival: str,
-        shape: float,
-        smart: bool,
-        scenario: ScenarioSpec,
-    ) -> Tuple[int, int, List[int], List[float]]:
-        """Scenario path: arrival model × adversary policy over the bitmasks.
-
-        Shares the compiled pool, incidence masks, recovery schedule and
-        smart-opening logic with the bitset loop; *when* events happen and
-        *what* each event does are delegated to the pair compiled by
-        :func:`repro.itsys.scenarios.build_scenario`.  All draws come from
-        the per-run ``Random(seed + 7919 * run_index)`` stream, so scenario
-        ranges merge bit for bit like classic ones.
-        """
-        if exploit_rate <= 0:
-            raise SimulationError("the exploit arrival rate must be positive")
-        if arrival == "aging" and shape <= 0:
-            raise SimulationError("the inter-arrival shape must be positive")
-        if horizon <= 0:
-            raise SimulationError("the campaign horizon must be positive")
-        pool = self._compiled_pool()
-        group = self._group(os_names, quorum_model)
-        n, f, quorum = group.n, group.f, group.quorum_size
-        if targeted:
-            targets = set(os_names)
-            targeted_pool = [
-                entry for entry in pool if entry.affected_os & targets
-            ]
-        else:
-            targeted_pool = pool
-        incidence = ReplicaIncidence(targeted_pool, group.os_names)
-        victim_masks = incidence.victim_masks
-        opening_mask: Optional[int] = None
-        if smart:
-            entry, _coverage = best_exploit_entry(pool, os_names)
-            if entry is not None:
-                opening_mask = incidence.victim_mask_for(entry.affected_os)
-        recovery_times: List[float] = []
-        if recovery_interval is not None and recovery_interval > 0:
-            t = recovery_interval
-            while t <= horizon:  # same float accumulation as BFTService
-                recovery_times.append(t)
-                t += recovery_interval
-        n_recoveries = len(recovery_times)
-        aging = arrival == "aging"
-        scale = 1.0 / exploit_rate
-        if aging:
-            def draw_gap(rng, _scale=scale, _shape=shape):
+        if arrival == "aging":
+            def draw_gap(rng, _scale=1.0 / exploit_rate, _shape=shape):
                 return rng.weibullvariate(_scale, _shape)
         else:
             def draw_gap(rng, _rate=exploit_rate):
                 return rng.expovariate(_rate)
         arrivals, policy = build_scenario(scenario, draw_gap, victim_masks, n)
+        events, reset = arrivals.events, policy.reset
+        choose, propagate = policy.choose, policy.propagate
 
         violations = 0
         liveness_losses = 0
@@ -722,7 +602,7 @@ class CompromiseSimulation:
         violation_times: List[float] = []
         for run_index in range(run_start, run_stop):
             rng = random.Random(self._seed + 7919 * run_index)
-            policy.reset(rng)
+            reset(rng)
             compromised = 0
             peak = 0
             violation_time: Optional[float] = None
@@ -739,10 +619,10 @@ class CompromiseSimulation:
                     liveness_time = 0.0
             if targeted_pool:
                 recovery_index = 0
-                for time in arrivals.events(rng, horizon):
+                for time in events(rng, horizon):
                     # Recoveries strictly before this exploit fire first
-                    # (exploit < recovery at equal timestamps, matching the
-                    # bitset loop and BFTService.run_campaign), so the
+                    # (exploit < recovery at equal timestamps, as in
+                    # BFTService.run_campaign's priority sort), so the
                     # policy aims at the post-recovery mask.
                     while (
                         recovery_index < n_recoveries
@@ -750,22 +630,20 @@ class CompromiseSimulation:
                     ):
                         compromised = 0
                         recovery_index += 1
-                    entry_index = policy.choose(rng, time, compromised)
-                    landed = False
-                    if entry_index is not None:
-                        newly = victim_masks[entry_index] & ~compromised
-                        if newly:
-                            compromised |= newly
-                            landed = True
-                    if landed:
-                        compromised = policy.propagate(rng, compromised)
-                        count = compromised.bit_count()
-                        if count > peak:
-                            peak = count
-                        if violation_time is None and count > f:
-                            violation_time = time
-                        if liveness_time is None and n - count < quorum:
-                            liveness_time = time
+                    entry_index = choose(rng, time, compromised)
+                    if entry_index is None:
+                        continue
+                    newly = victim_masks[entry_index] & ~compromised
+                    if not newly:
+                        continue
+                    compromised = propagate(rng, compromised | newly)
+                    count = compromised.bit_count()
+                    if count > peak:
+                        peak = count
+                    if violation_time is None and count > f:
+                        violation_time = time
+                    if liveness_time is None and n - count < quorum:
+                        liveness_time = time
             compromised_counts.append(peak)
             if violation_time is not None:
                 violations += 1

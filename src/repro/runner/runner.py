@@ -34,6 +34,7 @@ from repro.core.models import VulnerabilityEntry
 from repro.obs.clock import CLOCK
 from repro.obs.metrics import MetricsRegistry
 from repro.itsys.simulation import (
+    ENGINES,
     CompromiseSimulation,
     RunRangeTallies,
     SimulationResult,
@@ -246,6 +247,12 @@ class GridRunner:
     ) -> None:
         if workers < 1:
             raise SimulationError("the runner needs at least one worker")
+        if engine not in ENGINES:
+            # Checked here, not in the workers: a bad label would otherwise
+            # surface as a BrokenProcessPool, or only on a cache miss.
+            raise SimulationError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
         self._entries = list(entries)
         self._seed = seed
         self._engine = engine

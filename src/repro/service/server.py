@@ -1079,7 +1079,11 @@ class DiversityService:
     # -- job handlers ---------------------------------------------------------
 
     def _run_job(self, job: Job) -> Dict[str, object]:
-        """Execute one simulation job on the PR-3 grid runner."""
+        """Execute one simulation job on the grid runner.
+
+        The server's ``engine`` picks the query index; jobs always run the
+        simulator's default engine, whose numbers every engine reproduces.
+        """
         from repro.core.constants import OS_NAMES
 
         # Paper-catalogue datasets get alias-tolerant OS-name normalisation;
@@ -1089,7 +1093,6 @@ class DiversityService:
         runner = GridRunner.for_dataset(
             job.dataset,
             seed=job.seed,
-            engine=self.config.engine,
             workers=self.config.workers,
             catalogued=catalogued,
             metrics=self.metrics,

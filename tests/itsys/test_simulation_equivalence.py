@@ -106,11 +106,10 @@ def test_engines_identical_under_every_scenario_family(
     fast_result = fast.run_configuration(
         "cfg", os_names, scenario=scenario, **campaign
     )
-    for engine in ("naive", "packed"):
-        other = fast.with_engine(engine).run_configuration(
-            "cfg", os_names, scenario=scenario, **campaign
-        )
-        assert other == fast_result
+    other = fast.with_engine("naive").run_configuration(
+        "cfg", os_names, scenario=scenario, **campaign
+    )
+    assert other == fast_result
 
 
 @given(os_names=groups, seed=st.integers(0, 10_000),

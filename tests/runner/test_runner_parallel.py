@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
+from repro.core.exceptions import SimulationError
 from repro.core.models import CVSSVector, VulnerabilityEntry
 from repro.itsys.simulation import CompromiseSimulation
 from repro.runner import ArrivalSpec, ExperimentGrid, GridRunner, ResultCache
@@ -107,6 +108,30 @@ def test_cache_hits_are_byte_identical_to_cold_runs(entries, grid, seed, tmp_pat
     assert {
         path.name: path.read_bytes() for path in cache_dir.glob("*.json")
     } == cold_bytes
+
+
+def test_paper_corpus_sweep_through_the_pool_matches_serial_json(corpus):
+    """The full paper corpus through a real 4-process pool, byte for byte."""
+    grid = ExperimentGrid(
+        configurations={"Set1": ("Windows2003", "Solaris", "Debian", "OpenBSD")},
+        recovery_intervals=(None, 2.0),
+        runs=8,
+        horizon=3.0,
+    )
+    entries = corpus.valid_entries
+    serial = GridRunner(entries, seed=5, workers=1).run(grid)
+    pooled = GridRunner(entries, seed=5, workers=4).run(grid)
+    assert json.dumps(serial.to_json_payload(), sort_keys=True) == json.dumps(
+        pooled.to_json_payload(), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unknown_engine_is_rejected_at_construction(corpus, workers):
+    """Rejected up front, not as a BrokenProcessPool or on a cache miss."""
+    for engine in ("quantum", "packed"):
+        with pytest.raises(SimulationError, match="'bitset', 'naive'"):
+            GridRunner(corpus.valid_entries, engine=engine, workers=workers)
 
 
 class TestWarmCacheBypassesSimulation:

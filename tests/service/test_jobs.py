@@ -7,8 +7,10 @@ import time
 import pytest
 
 from repro.runner import ArrivalSpec, ExperimentGrid, GridRunner
+from repro.service import ServiceServer
 from repro.service.errors import Draining
 from repro.service.jobs import request_fingerprint
+from tests.service.conftest import ServiceClient, make_app
 
 SET1 = ["Windows2003", "Solaris", "Debian", "OpenBSD"]
 
@@ -55,6 +57,21 @@ class TestJobLifecycle:
         )
         expected = GridRunner.for_dataset(dataset, seed=11).run(grid)
         assert finished["result"] == expected.to_json_payload()
+
+    def test_packed_server_runs_jobs_like_the_default_engine(self, corpus):
+        """``packed`` selects the query index; it never reaches the simulator."""
+        results = []
+        for config in ({"engine": "packed"}, {}):
+            service = ServiceServer(make_app(corpus, **config))
+            client = ServiceClient(service.start())
+            try:
+                submitted = client.post_json("/v1/simulations", REQUEST).json()
+                finished = _poll(client, submitted["job_id"])
+            finally:
+                service.stop(drain_grace=30.0)
+            assert finished["state"] == "done"
+            results.append(finished["result"])
+        assert results[0] == results[1]
 
     def test_jobs_listing_excludes_results(self, server):
         client, _app = server

@@ -134,6 +134,17 @@ class TestCommands:
         assert "custom (RedHat+Solaris)" in out
         assert "custom (Debian+OpenBSD+RedHat+Solaris)" not in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--runs", "0"],
+        ["--rate", "-1"],
+        ["--arrival", "aging", "--shape", "0"],
+        ["--recovery-interval", "-1"],
+        ["--recovery-sweep", "0"],
+    ])
+    def test_simulate_rejects_bad_campaign_parameters(self, capsys, flags):
+        assert main(["simulate", "--runs", "5", "--horizon", "2.0", *flags]) == 2
+        assert "invalid campaign" in capsys.readouterr().err
+
     def test_simulate_rejects_malformed_sweep(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--recovery-sweep", "abc"])

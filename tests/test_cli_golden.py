@@ -172,19 +172,11 @@ class TestEngineSelection:
             VulnerabilityDataset([], engine="quantum")
         golden("engine_error.txt", str(excinfo.value) + "\n")
 
-    def test_packed_simulate_json_differs_only_in_the_engine_field(self, capsys):
-        bitset = json.loads(_stdout_of(capsys, SIMULATE_ARGS))
-        packed = json.loads(
-            _stdout_of(capsys, ["--engine", "packed", *SIMULATE_ARGS])
-        )
-        assert packed["engine"] == "packed"
-        packed["engine"] = bitset["engine"]
-        assert packed == bitset
-
-    def test_packed_sweep_json_matches_the_bitset_golden(self, capsys, golden):
-        payload = json.loads(
-            _stdout_of(capsys, ["--engine", "packed", *SWEEP_ARGS])
-        )
-        assert payload["engine"] == "packed"
-        payload["engine"] = "bitset"
-        golden("sweep.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def test_packed_is_rejected_by_the_simulator(self, capsys):
+        """``packed`` names a query index, not a simulation engine."""
+        for argv in (SIMULATE_ARGS, SWEEP_ARGS):
+            assert main(["--engine", "packed", *argv]) == 2
+            assert (
+                "the simulator supports --engine bitset|naive, not 'packed'"
+                in capsys.readouterr().err
+            )
