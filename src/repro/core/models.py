@@ -8,8 +8,8 @@ These types are deliberately plain containers: parsing lives in
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.core.enums import (
     AccessVector,
@@ -160,6 +160,16 @@ class VulnerabilityEntry:
             if tuple(versions)
         }
         object.__setattr__(self, "affected_versions", canonical)
+
+    # Pickles carry the fields only: per-object memos cached on the entry
+    # (its digest, see repro.snapshots.digests) stay behind, so memoising
+    # never changes the bytes shipped to pool workers.
+    def __getstate__(self) -> Dict[str, object]:
+        return {item.name: getattr(self, item.name) for item in fields(self)}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     # -- convenience -------------------------------------------------------
 

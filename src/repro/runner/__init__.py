@@ -26,8 +26,6 @@ from repro.runner.cache import (
     corpus_digest,
     result_from_json,
     result_to_json,
-    scoped_corpus_digest,
-    scoped_pool,
 )
 from repro.runner.grid import (
     ADVERSARY_MODES,
@@ -52,6 +50,4 @@ __all__ = [
     "corpus_digest",
     "result_from_json",
     "result_to_json",
-    "scoped_corpus_digest",
-    "scoped_pool",
 ]

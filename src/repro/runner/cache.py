@@ -22,14 +22,15 @@ publication date, affected OSes, access vector, component class, validity)
 ``rng.choice`` draw selects.
 
 Since schema 2 the digest in a cell's key is **scoped** to the part of the
-corpus the cell can actually read (:func:`scoped_corpus_digest`): the
-configuration-filtered pool, further restricted -- for targeted adversaries
--- to entries affecting at least one of the cell's OSes.  A corpus delta
-that never touches a cell's OSes therefore leaves that cell's key (and its
-cached bytes) intact, so after an incremental ingest a warm sweep re-runs
-*only* the cells named by the snapshot diff
-(:meth:`repro.snapshots.diff.SnapshotDiff.touches_group`) instead of the
-whole grid.
+corpus the cell can actually read
+(:meth:`repro.runner.runner.GridRunner.scope_digest`, built on
+:func:`repro.snapshots.digests.scope_digest`): the configuration-filtered
+pool, further restricted -- for targeted adversaries -- to entries affecting
+at least one of the cell's OSes.  A corpus delta that never touches a cell's
+OSes therefore leaves that cell's key (and its cached bytes) intact, so after
+an incremental ingest a warm sweep re-runs *only* the cells named by the
+snapshot diff (:meth:`repro.snapshots.diff.SnapshotDiff.touches_group`)
+instead of the whole grid.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Union
 
-from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import ServerConfiguration
 from repro.core.models import VulnerabilityEntry
 from repro.itsys.simulation import SimulationResult
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.grid import GridCell
-from repro.snapshots.digests import entry_digest as normalized_entry_digest
 
 #: Bump when the cached payload layout or the digest recipe changes.
 #: Schema 2: cell keys embed the *scoped* corpus digest (selective
@@ -76,57 +75,6 @@ def corpus_digest(entries: Iterable[VulnerabilityEntry]) -> str:
     return hasher.hexdigest()
 
 
-def scoped_pool(
-    entries: Iterable[VulnerabilityEntry],
-    os_names: Optional[Sequence[str]] = None,
-    configuration: ServerConfiguration = ServerConfiguration.ISOLATED_THIN,
-) -> List[VulnerabilityEntry]:
-    """The sub-corpus (in corpus order) a sweep cell can observe.
-
-    The simulator's exploitable pool is the configuration-filtered corpus;
-    with a targeted adversary it is further restricted to entries affecting
-    at least one of the group's OSes (``os_names``).  Pass ``os_names=None``
-    for untargeted cells, which observe the whole filtered pool.  Entries
-    outside this scope cannot influence the cell's draws or damage, which is
-    what makes digests over it safe cache keys.
-    """
-    admits = ServerConfigurationFilter(configuration).admits
-    pool = [entry for entry in entries if admits(entry)]
-    if os_names is None:
-        return pool
-    targets = set(os_names)
-    return [entry for entry in pool if entry.affected_os & targets]
-
-
-def scoped_corpus_digest(
-    entries: Iterable[VulnerabilityEntry],
-    os_names: Optional[Sequence[str]] = None,
-    configuration: ServerConfiguration = ServerConfiguration.ISOLATED_THIN,
-    digests: Optional[Dict[int, str]] = None,
-) -> str:
-    """Digest of the sub-corpus a cell can observe (see :func:`scoped_pool`).
-
-    Hashes the *normalized entry digests* (:func:`repro.snapshots.digests
-    .entry_digest`) of the scope's entries in corpus order.  Using the full
-    normalized content -- rather than only the simulator-read fields -- keeps
-    cache behaviour aligned with snapshot diffs: whenever a delta names a
-    cell's OSes, the cell re-runs; whenever it does not, the cell's key (and
-    its cached bytes) are untouched.
-
-    ``digests`` optionally maps ``id(entry)`` to a precomputed normalized
-    digest; callers hashing many scopes over one corpus (the grid runner)
-    pass it so each entry is serialised and hashed once, not once per scope.
-    """
-    hasher = hashlib.sha256()
-    for entry in scoped_pool(entries, os_names, configuration):
-        digest = digests.get(id(entry)) if digests is not None else None
-        if digest is None:
-            digest = normalized_entry_digest(entry)
-        hasher.update(digest.encode("ascii"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
-
-
 def cell_key(
     digest: str,
     cell: GridCell,
@@ -139,12 +87,13 @@ def cell_key(
 
     Every input that can change a cell's result participates in the key:
     the corpus digest (the runner passes the cell's *scoped* digest, see
-    :func:`scoped_corpus_digest`), the cell parameters, the seed, the
-    engine, the server-configuration filter (it selects the attacker's
-    exploitable pool) and the ``catalogued`` switch (it changes OS-name
-    normalisation in the replica group).  Scenario cells contribute their
-    normalised scenario parameters through ``cell.params()``; classic cells
-    omit the key entirely, so pre-scenario cache entries keep their keys.
+    :meth:`repro.runner.runner.GridRunner.scope_digest`), the cell
+    parameters, the seed, the engine, the server-configuration filter (it
+    selects the attacker's exploitable pool) and the ``catalogued`` switch
+    (it changes OS-name normalisation in the replica group).  Scenario
+    cells contribute their normalised scenario parameters through
+    ``cell.params()``; classic cells omit the key entirely, so pre-scenario
+    cache entries keep their keys.
     """
     canonical = json.dumps(
         {

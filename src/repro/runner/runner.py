@@ -28,6 +28,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import ServerConfiguration
 from repro.core.exceptions import SimulationError
 from repro.core.models import VulnerabilityEntry
@@ -41,14 +42,9 @@ from repro.itsys.simulation import (
     merge_run_ranges,
     result_from_tallies,
 )
-from repro.runner.cache import (
-    ResultCache,
-    cell_key,
-    corpus_digest,
-    result_to_json,
-    scoped_corpus_digest,
-)
+from repro.runner.cache import ResultCache, cell_key, corpus_digest, result_to_json
 from repro.runner.grid import ExperimentGrid, GridCell
+from repro.snapshots.digests import scope_digest
 
 #: Chunks scheduled per worker per cell; >1 keeps the pool busy when chunk
 #: durations vary, while staying coarse enough that per-chunk compilation of
@@ -271,12 +267,11 @@ class GridRunner:
             "Per-chunk simulation wall time, inline or per worker process.",
         )
         self._digest = corpus_digest(self._entries)
+        #: The configuration-admitted entries every scope digest draws from.
+        self._pool = ServerConfigurationFilter(configuration).apply(self._entries)
         #: Scoped digests memoized per (targeted, group OS set) -- many grid
         #: cells share a configuration, and the scope only depends on it.
         self._scope_digests: Dict[Tuple[bool, frozenset], str] = {}
-        #: Normalized per-entry digests (id(entry) -> digest), computed once
-        #: and shared by every scope digest over this corpus.
-        self._entry_digests: Optional[Dict[int, str]] = None
         self._local: Optional[CompromiseSimulation] = None
 
     @classmethod
@@ -318,17 +313,8 @@ class GridRunner:
         """
         scope = (cell.targeted, frozenset(cell.os_names) if cell.targeted else frozenset())
         if scope not in self._scope_digests:
-            if self._entry_digests is None:
-                from repro.snapshots.digests import entry_digest
-
-                self._entry_digests = {
-                    id(entry): entry_digest(entry) for entry in self._entries
-                }
-            self._scope_digests[scope] = scoped_corpus_digest(
-                self._entries,
-                cell.os_names if cell.targeted else None,
-                self._configuration,
-                digests=self._entry_digests,
+            self._scope_digests[scope] = scope_digest(
+                self._pool, cell.os_names if cell.targeted else None
             )
         return self._scope_digests[scope]
 

@@ -16,8 +16,13 @@ request path and its canonicalised query string.  Two consequences:
   entries eagerly when a delta lands in-process instead of waiting for
   LRU pressure.
 
-ETags are strong (byte-identical payload guarantee): the hex prefix of a
-sha256 over the same key material that addresses the cache entry.
+ETags are **weak** (``W/"<hex>"``): the hex prefix of a sha256 over the same
+key material that addresses the cache entry.  They cannot be strong, because
+a strong ETag promises one byte sequence and the key material leaves out the
+payload's ``dataset`` block: after a delta that misses a scope, the scope's
+digest -- and so its ETag -- stays, while a freshly rendered body names the
+new snapshot.  The two bodies are semantically equivalent (same answer, same
+scope content), which is exactly what a weak validator asserts.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def make_etag(scope_digest: str, path: str, query: str) -> str:
-    """A strong ETag for one query over one scoped dataset state."""
+    """A weak ETag for one query over one scoped dataset state."""
     material = "\n".join((scope_digest, path, query))
-    return '"' + hashlib.sha256(material.encode("utf-8")).hexdigest()[:32] + '"'
+    return 'W/"' + hashlib.sha256(material.encode("utf-8")).hexdigest()[:32] + '"'
 
 
 def canonical_query(params: Dict[str, Tuple[str, ...]]) -> str:

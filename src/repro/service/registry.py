@@ -19,9 +19,10 @@ answer from memory**.  Three pieces deliver it:
   assert), and an LRU bound keeps at most ``max_datasets`` corpora live
   across rolling snapshot deltas.
 
-Scoped digests are the PR-3/PR-4 content addresses
-(:func:`repro.runner.cache.scoped_corpus_digest`): the digest of the
-sub-corpus a query can observe.  They are what response ``ETag``\\ s derive
+Scoped digests are the content addresses the sweep cache keys on too
+(:func:`repro.snapshots.digests.scope_digest`): the digest of the
+sub-corpus a query can observe, hashed over the configuration view the
+artifacts already compiled.  They are what response ``ETag``\\ s derive
 from, so a snapshot delta that never touches a query's OSes leaves its
 ETag -- and every conditional revalidation against it -- intact.
 """
@@ -42,15 +43,15 @@ from repro.core.models import VulnerabilityEntry
 from repro.obs.clock import CLOCK, Clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.runner.cache import scoped_corpus_digest
 from repro.service.errors import Conflict, NotFound
-from repro.snapshots.digests import entry_digest
+from repro.snapshots.digests import dataset_digest_of, scope_digest
 from repro.snapshots.diff import SnapshotDiff
 from repro.snapshots.store import SnapshotRecord
 
 #: Scoped digests memoized per compiled corpus; scopes are client-chosen
 #: (each distinct ``os=`` combination is one), so the memo is LRU-bounded.
-#: A miss only costs one pass over the precomputed entry digests.
+#: A miss costs one pass over the configuration's view; entry digests are
+#: memoised per entry, so it hashes nothing twice.
 MAX_SCOPE_DIGESTS = 1024
 
 
@@ -85,8 +86,6 @@ class StaticDatasetProvider:
     def current(self) -> DatasetState:
         """The (memoized) content digest of the fixed entry set."""
         if self._digest is None:
-            from repro.snapshots.digests import dataset_digest_of
-
             self._digest = dataset_digest_of(self._entries)
         return DatasetState(digest=self._digest)
 
@@ -209,7 +208,6 @@ class CorpusArtifacts:
         self._lock = threading.RLock()
         self._valid: Optional[VulnerabilityDataset] = None
         self._views: Dict[ServerConfiguration, VulnerabilityDataset] = {}
-        self._entry_digests: Optional[Dict[int, str]] = None
         #: LRU-bounded: clients choose the scope (the OS set of a query),
         #: so an unbounded memo would grow with every distinct os=
         #: combination ever requested.
@@ -261,24 +259,17 @@ class CorpusArtifacts:
     ) -> str:
         """Digest of the sub-corpus a query over ``os_names`` can observe.
 
-        ``None`` means the whole catalogue (global queries).  Stable across
-        snapshot deltas that do not touch the scope -- the property response
-        ETags inherit.
+        ``None`` means the whole catalogue (global queries).  Hashed over
+        :meth:`filtered_valid`, the configuration's view every query shares.
+        Stable across snapshot deltas that do not touch the scope -- the
+        property response ETags inherit.
         """
         scope = frozenset(os_names) if os_names is not None else None
         key = (scope, configuration)
         with self._lock:
             if key not in self._scoped:
-                if self._entry_digests is None:
-                    self._entry_digests = {
-                        id(entry): entry_digest(entry)
-                        for entry in self.dataset.entries
-                    }
-                self._scoped[key] = scoped_corpus_digest(
-                    self.dataset.entries,
-                    sorted(scope) if scope is not None else None,
-                    configuration,
-                    digests=self._entry_digests,
+                self._scoped[key] = scope_digest(
+                    self.filtered_valid(configuration).entries, scope
                 )
             self._scoped.move_to_end(key)
             while len(self._scoped) > MAX_SCOPE_DIGESTS:

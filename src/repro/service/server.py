@@ -1134,13 +1134,19 @@ class DiversityService:
 
 
 def _etag_matches(header: Optional[str], etag: str) -> bool:
-    """``If-None-Match`` comparison: a token list or ``*``."""
+    """``If-None-Match`` weak comparison: a token list or ``*``.
+
+    ``W/"x"`` and ``"x"`` both match either form (RFC 9110 13.1.2), so
+    clients that strip or keep the weakness prefix revalidate alike.
+    """
     if header is None:
         return False
     if header.strip() == "*":
         return True
-    candidates = {token.strip() for token in header.split(",")}
-    return etag in candidates
+    opaque = etag.removeprefix("W/")
+    return any(
+        token.strip().removeprefix("W/") == opaque for token in header.split(",")
+    )
 
 
 def _is_json_feed(request: HttpRequest) -> bool:

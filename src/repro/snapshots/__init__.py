@@ -39,6 +39,7 @@ _EXPORTS = {
     "entry_from_payload": "repro.snapshots.digests",
     "entry_payload": "repro.snapshots.digests",
     "entry_to_json": "repro.snapshots.digests",
+    "scope_digest": "repro.snapshots.digests",
     "SnapshotDiff": "repro.snapshots.diff",
     "SnapshotRecord": "repro.snapshots.store",
     "SnapshotStore": "repro.snapshots.store",

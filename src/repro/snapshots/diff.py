@@ -13,8 +13,8 @@ added/modified/removed CVE id sets it derives:
   drawn from a changed entry's affected-OS sets;
 * :meth:`SnapshotDiff.touches_group` -- whether a replica configuration's
   result can differ between the two snapshots, which is exactly the
-  predicate the sweep cache's scoped digests enforce mechanically
-  (:func:`repro.runner.cache.scoped_corpus_digest`).
+  predicate the sweep cache's scoped digests and the service's ETags
+  enforce mechanically (:func:`repro.snapshots.digests.scope_digest`).
 """
 
 from __future__ import annotations

@@ -8,12 +8,20 @@ primitives:
   (:func:`entry_payload`) covers every study-relevant field (identifier,
   publication date, summary, CVSS base vector, affected OSes and versions,
   component class, validity) in a key-sorted, separator-normalised encoding,
-  so two entries digest equal iff the study cannot tell them apart.
+  so two entries digest equal iff the study cannot tell them apart.  The
+  digest is memoised on the (frozen) entry object, so every digest built
+  from one entry -- dataset, scope, ledger row -- hashes it once.
 * :func:`dataset_digest` -- sha256 over the sorted ``cve_id:entry_digest``
   lines of a dataset state.  It is order-insensitive by construction (states
   are sets of entries, not sequences), so the same corpus content always
   produces the same dataset digest no matter how it was assembled -- full
   ingest, delta chain, or time-travel reconstruction.
+
+:func:`scope_digest` derives the *scoped* content addresses from entry
+digests: the digest of the part of a pool one OS group can observe.  Sweep
+cache keys (:meth:`repro.runner.runner.GridRunner.scope_digest`) and
+response ETags (:meth:`repro.service.registry.CorpusArtifacts.scope_digest`)
+both use it, each over the configuration-filtered pool it already holds.
 
 The payload also round-trips: :func:`entry_from_payload` rebuilds the entry
 (sans raw CPE names, which are feed provenance rather than normalized
@@ -29,7 +37,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
 from repro.core.models import CVSSVector, VulnerabilityEntry
@@ -37,6 +45,11 @@ from repro.core.models import CVSSVector, VulnerabilityEntry
 #: Bump when the payload layout changes; participates in every entry digest
 #: so old and new digests can never be confused for one another.
 PAYLOAD_SCHEMA = 1
+
+#: Instance attribute memoising :func:`entry_digest` on an entry object.
+#: Entries are frozen, so the memo can never go stale; it is not a field, so
+#: equality, ``repr``, ``asdict`` and pickles do not see it.
+_DIGEST_MEMO = "_entry_digest"
 
 
 def entry_payload(entry: VulnerabilityEntry) -> Dict[str, object]:
@@ -73,10 +86,41 @@ def canonical_json(payload: Mapping[str, object]) -> str:
 
 
 def entry_digest(entry: VulnerabilityEntry) -> str:
-    """sha256 hex digest of the entry's canonical payload."""
-    return hashlib.sha256(
-        canonical_json(entry_payload(entry)).encode("utf-8")
-    ).hexdigest()
+    """sha256 hex digest of the entry's canonical payload.
+
+    Computed once per entry object and memoised on it; copies made with
+    ``dataclasses.replace`` (``with_validity``, ``with_class``) are new
+    objects and hash afresh.
+    """
+    digest = entry.__dict__.get(_DIGEST_MEMO)
+    if digest is None:
+        digest = hashlib.sha256(
+            canonical_json(entry_payload(entry)).encode("utf-8")
+        ).hexdigest()
+        object.__setattr__(entry, _DIGEST_MEMO, digest)
+    return digest
+
+
+def scope_digest(
+    pool: Iterable[VulnerabilityEntry],
+    os_names: Optional[Iterable[str]] = None,
+) -> str:
+    """Digest of the part of ``pool`` an OS group can observe.
+
+    Hashes ``entry_digest + "\\n"`` for each entry of ``pool``, in pool
+    order, that affects at least one of ``os_names`` (every entry when
+    ``os_names`` is ``None``).  Callers pass the configuration-filtered pool
+    they already hold, so a delta that touches none of the group's OSes
+    leaves the digest -- and the cache keys and ETags derived from it --
+    unchanged, while any change inside the scope moves it.
+    """
+    targets = frozenset(os_names) if os_names is not None else None
+    hasher = hashlib.sha256()
+    for entry in pool:
+        if targets is None or entry.affected_os & targets:
+            hasher.update(entry_digest(entry).encode("ascii"))
+            hasher.update(b"\n")
+    return hasher.hexdigest()
 
 
 def entry_to_json(entry: VulnerabilityEntry) -> str:

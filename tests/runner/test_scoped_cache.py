@@ -1,18 +1,38 @@
-"""Scoped cache digests and selective invalidation (runner.cache schema 2)."""
+"""Scoped digests: one recipe behind sweep cache keys and response ETags.
 
-from pathlib import Path
+:func:`repro.snapshots.digests.scope_digest` is the only implementation.
+The grid runner feeds it the entries its configuration admits; the service
+registry feeds it the compiled configuration view.  The oracle below
+restates the documented recipe with neither the memo nor a shared filter,
+and both callers must agree with it.
+"""
+
+import dataclasses
+import hashlib
+import pickle
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.enums import AccessVector, ComponentClass, ServerConfiguration
-from repro.runner import (
-    ExperimentGrid,
-    GridRunner,
-    ResultCache,
-    scoped_corpus_digest,
-    scoped_pool,
+from repro.analysis.dataset import VulnerabilityDataset
+from repro.classify.filters import ServerConfigurationFilter
+from repro.core.enums import (
+    AccessVector,
+    ComponentClass,
+    ServerConfiguration,
+    ValidityStatus,
 )
+from repro.runner import ArrivalSpec, ExperimentGrid, GridCell, GridRunner, ResultCache
+from repro.service.registry import CorpusArtifacts, DatasetState
+from repro.snapshots import digests as digests_module
+from repro.snapshots.digests import canonical_json, entry_digest, entry_payload, scope_digest
 from tests.conftest import make_entry
+
+CATALOGUE = ("Debian", "RedHat", "Solaris", "OpenBSD", "NetBSD",
+             "Windows2000", "Windows2003")
+#: Names outside the catalogue: scopes match them like any other name.
+FOREIGN = ("Plan9", "Haiku")
 
 
 def _corpus():
@@ -28,33 +48,123 @@ def _corpus():
     ]
 
 
-class TestScopedPool:
-    def test_targeted_scope_keeps_only_group_entries(self):
-        pool = scoped_pool(_corpus(), ("Debian", "RedHat"))
-        assert [entry.cve_id for entry in pool] == [
-            "CVE-2005-0001", "CVE-2005-0004",
-        ]
+def _admitted(entry, configuration):
+    """The paper's configuration filter (Section IV-B), restated."""
+    if entry.validity is not ValidityStatus.VALID:
+        return False
+    if (configuration is not ServerConfiguration.FAT
+            and entry.component_class is ComponentClass.APPLICATION):
+        return False
+    return not (configuration is ServerConfiguration.ISOLATED_THIN
+                and entry.cvss.access_vector is AccessVector.LOCAL)
 
-    def test_untargeted_scope_is_the_admitted_pool(self):
-        pool = scoped_pool(_corpus(), None)
-        # Isolated Thin drops the local and the application entry.
-        assert [entry.cve_id for entry in pool] == [
-            "CVE-2005-0001", "CVE-2005-0002", "CVE-2005-0003", "CVE-2005-0004",
-        ]
 
-    def test_configuration_filter_applies(self):
-        fat = scoped_pool(_corpus(), ("NetBSD",), ServerConfiguration.FAT)
-        isolated = scoped_pool(
-            _corpus(), ("NetBSD",), ServerConfiguration.ISOLATED_THIN
+def _recipe(entries, os_names, configuration):
+    """sha256 over ``entry_digest + "\\n"`` of each admitted entry affecting
+    one of ``os_names`` (all when ``None``), in corpus order, unmemoised."""
+    hasher = hashlib.sha256()
+    for entry in entries:
+        if not _admitted(entry, configuration):
+            continue
+        if os_names is not None and not entry.affected_os & set(os_names):
+            continue
+        hasher.update((_unmemoised_digest(entry) + "\n").encode("ascii"))
+    return hasher.hexdigest()
+
+
+def _unmemoised_digest(entry):
+    return hashlib.sha256(
+        canonical_json(entry_payload(entry)).encode("utf-8")
+    ).hexdigest()
+
+
+def _cell(os_names, targeted):
+    return GridCell(
+        configuration="group", os_names=tuple(os_names), quorum_model="3f+1",
+        recovery_interval=None, arrival=ArrivalSpec(),
+        adversary="standard" if targeted else "untargeted",
+        runs=1, exploit_rate=1.0, horizon=1.0,
+    )
+
+
+def _callers(entries, os_names, targeted, configuration):
+    """(service, runner) scope digests of one group over ``entries``."""
+    artifacts = CorpusArtifacts(
+        VulnerabilityDataset(entries, CATALOGUE), DatasetState(digest="oracle")
+    )
+    runner = GridRunner(entries, configuration=configuration, catalogued=False)
+    return (
+        artifacts.scope_digest(os_names if targeted else None, configuration),
+        runner.scope_digest(_cell(os_names, targeted)),
+    )
+
+
+_entry_spec = st.tuples(
+    st.sets(st.sampled_from(CATALOGUE + FOREIGN), min_size=1, max_size=3),
+    st.sampled_from(list(ValidityStatus)),
+    st.sampled_from(list(AccessVector)),
+    st.sampled_from([None, *ComponentClass]),
+)
+
+
+class TestScopeDigestOracle:
+    @pytest.mark.parametrize("configuration", list(ServerConfiguration))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(_entry_spec, max_size=12),
+        group=st.lists(st.sampled_from(CATALOGUE + FOREIGN), min_size=1, max_size=4),
+        targeted=st.booleans(),
+    )
+    def test_service_and_runner_agree_with_the_recipe(
+        self, configuration, specs, group, targeted
+    ):
+        entries = [
+            make_entry(f"CVE-2005-{index:04d}", oses=oses, validity=validity,
+                       access=access, component_class=component_class)
+            for index, (oses, validity, access, component_class) in enumerate(specs)
+        ]
+        expected = _recipe(entries, group if targeted else None, configuration)
+        assert _callers(entries, group, targeted, configuration) == (
+            expected, expected
         )
-        assert len(fat) == 2 and isolated == []
 
-    def test_scope_preserves_corpus_order(self):
-        entries = list(reversed(_corpus()))
-        pool = scoped_pool(entries, ("Debian", "RedHat"))
-        assert [entry.cve_id for entry in pool] == [
-            "CVE-2005-0004", "CVE-2005-0001",
-        ]
+    @pytest.mark.parametrize(
+        "order, group, targeted, configuration, selected",
+        [
+            # Targeting keeps only the group's entries.
+            (1, ("Debian", "RedHat"), True, ServerConfiguration.ISOLATED_THIN,
+             ("CVE-2005-0001", "CVE-2005-0004")),
+            # Untargeted scopes hash the whole admitted pool; Isolated Thin
+            # drops the local and the application entry.
+            (1, ("Debian",), False, ServerConfiguration.ISOLATED_THIN,
+             ("CVE-2005-0001", "CVE-2005-0002", "CVE-2005-0003",
+              "CVE-2005-0004")),
+            # The configuration filter applies before targeting.
+            (1, ("NetBSD",), True, ServerConfiguration.FAT,
+             ("CVE-2005-0005", "CVE-2005-0006")),
+            (1, ("NetBSD",), True, ServerConfiguration.ISOLATED_THIN, ()),
+            # Corpus order, not catalogue or id order.
+            (-1, ("Debian", "RedHat"), True, ServerConfiguration.ISOLATED_THIN,
+             ("CVE-2005-0004", "CVE-2005-0001")),
+        ],
+    )
+    def test_scope_hashes_the_selected_entries_in_corpus_order(
+        self, order, group, targeted, configuration, selected
+    ):
+        entries = _corpus()[::order]
+        by_id = {entry.cve_id: entry for entry in entries}
+        hasher = hashlib.sha256()
+        for cve_id in selected:
+            hasher.update((entry_digest(by_id[cve_id]) + "\n").encode("ascii"))
+        assert _callers(entries, group, targeted, configuration) == (
+            hasher.hexdigest(), hasher.hexdigest()
+        )
+
+
+def _scoped(entries, os_names):
+    """The Isolated Thin scope digest, over a pool filtered here."""
+    pool = ServerConfigurationFilter(ServerConfiguration.ISOLATED_THIN).apply(entries)
+    return scope_digest(pool, os_names)
 
 
 class TestScopedDigest:
@@ -64,9 +174,9 @@ class TestScopedDigest:
         after[2] = make_entry("CVE-2005-0003", oses=("Windows2000", "Windows2003"),
                               summary="A revised Windows flaw, remote attack.")
         group = ("Debian", "RedHat")
-        assert scoped_corpus_digest(before, group) == scoped_corpus_digest(after, group)
+        assert _scoped(before, group) == _scoped(after, group)
         windows = ("Windows2000", "Windows2003")
-        assert scoped_corpus_digest(before, windows) != scoped_corpus_digest(
+        assert _scoped(before, windows) != _scoped(
             after, windows
         )
 
@@ -76,7 +186,7 @@ class TestScopedDigest:
         # CVE-2005-0004 stops affecting RedHat: it leaves the group's scope.
         after[3] = make_entry("CVE-2005-0004", oses=("Debian",))
         group = ("RedHat",)
-        assert scoped_corpus_digest(before, group) != scoped_corpus_digest(
+        assert _scoped(before, group) != _scoped(
             after, group
         )
 
@@ -85,7 +195,7 @@ class TestScopedDigest:
         after = list(before)
         after[0] = make_entry("CVE-2005-0001", oses=("Debian",),
                               summary="A revised Debian flaw, remote attack.")
-        assert scoped_corpus_digest(before, None) != scoped_corpus_digest(after, None)
+        assert _scoped(before, None) != _scoped(after, None)
 
 
 class TestSelectiveInvalidation:
@@ -149,41 +259,57 @@ class TestSelectiveInvalidation:
         assert rows[0][digest_column] == report.cells[0].scope_digest
 
 
-class TestDigestMemoization:
-    def test_precomputed_digest_map_matches_direct_hashing(self):
-        from repro.snapshots.digests import entry_digest
-
-        entries = _corpus()
-        digests = {id(entry): entry_digest(entry) for entry in entries}
-        group = ("Debian", "RedHat")
-        assert scoped_corpus_digest(entries, group, digests=digests) == \
-            scoped_corpus_digest(entries, group)
-
-    def test_runner_computes_each_entry_digest_once(self, monkeypatch):
-        import repro.runner.runner as runner_module
-
-        calls = {"n": 0}
-        from repro.snapshots import digests as digests_module
-
-        original = digests_module.entry_digest
+class TestEntryDigestMemo:
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        """Counts payload serialisations -- the hashing work -- per object."""
+        calls = Counter()
+        original = digests_module.entry_payload
 
         def counting(entry):
-            calls["n"] += 1
+            calls[id(entry)] += 1
             return original(entry)
 
-        monkeypatch.setattr(digests_module, "entry_digest", counting)
+        monkeypatch.setattr(digests_module, "entry_payload", counting)
+        return calls
+
+    def test_each_entry_object_is_hashed_once(self, hashed):
         entries = _corpus()
-        runner = GridRunner(entries, seed=3)
-        grid = ExperimentGrid(
-            configurations={
-                "a": ("Debian",) * 4,
-                "b": ("Solaris", "OpenBSD", "Solaris", "OpenBSD"),
-                "c": ("Windows2000", "Windows2003", "Windows2000",
-                      "Windows2003"),
-            },
-            runs=2,
-            horizon=1.0,
+        dataset = VulnerabilityDataset(entries)
+        artifacts = CorpusArtifacts(dataset, DatasetState(digest=dataset.digest()))
+        for configuration in ServerConfiguration:
+            for scope in (None, ("Debian",), ("NetBSD", "Windows2000")):
+                artifacts.scope_digest(scope, configuration)
+            runner = GridRunner(entries, configuration=configuration)
+            for targeted in (True, False):
+                runner.scope_digest(_cell(("Debian", "Solaris"), targeted))
+        assert hashed == Counter({id(entry): 1 for entry in entries})
+
+    def test_copies_hash_afresh(self, hashed):
+        entry = make_entry()
+        digest = entry_digest(entry)
+        copies = (
+            entry.with_validity(ValidityStatus.DISPUTED),
+            entry.with_class(ComponentClass.APPLICATION),
+            dataclasses.replace(entry, summary="A revised kernel flaw."),
+            dataclasses.replace(entry),
         )
-        for cell in grid.expand():
-            runner.scope_digest(cell)
-        assert calls["n"] == len(entries)
+        for copy in copies:
+            assert entry_digest(copy) == _unmemoised_digest(copy)
+            assert hashed[id(copy)] == 1
+        assert entry_digest(copies[-1]) == digest
+        assert hashed[id(entry)] == 1
+
+    def test_memo_is_invisible(self):
+        entry, twin = make_entry(), make_entry()
+        before = (repr(entry), dataclasses.asdict(entry), pickle.dumps(entry))
+        entry_digest(entry)
+        after = (repr(entry), dataclasses.asdict(entry), pickle.dumps(entry))
+        assert entry == twin
+        assert after == before
+        assert pickle.dumps(twin) == before[2]
+        # What a pool worker unpickles is equal and carries no memo.
+        shipped = pickle.loads(pickle.dumps(entry))
+        assert shipped == entry
+        assert vars(shipped) == vars(twin)
+        assert entry_digest(shipped) == entry_digest(entry)

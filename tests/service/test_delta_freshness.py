@@ -23,6 +23,7 @@ from repro.service import (
     ServiceServer,
     SnapshotDatasetProvider,
 )
+from repro.service.server import HttpRequest
 from repro.snapshots.store import SnapshotStore
 from repro.synthetic.evolution import evolve_corpus
 
@@ -164,6 +165,47 @@ class TestEtagFreshnessAcrossDeltas:
         )
         assert windows_after.status == 304
         assert windows_after.etag == windows_before.etag
+
+    def test_one_etag_naming_two_bodies_is_weak(self, db_server, corpus, tmp_path):
+        # A delta that misses a scope keeps the scope's digest and so its
+        # ETag.  The pre-delta service still holds the old bytes, while a
+        # fresh service over the same ledger (another worker) renders the
+        # new snapshot's dataset block under that same ETag.
+        client, app, _base = db_server
+        windows_path = "/v1/shared?os=Windows2000,Windows2003"
+        assert client.get(windows_path).status == 200
+        feed = _debian_delta(corpus).write_feed(tmp_path / "delta.xml")
+        assert client.request(
+            "POST", "/v1/ingest/delta",
+            headers={"Content-Type": "application/xml"},
+            body=feed.read_bytes(),
+        ).status == 200
+
+        cached = client.get(windows_path)
+        fresh = DiversityService(
+            ServiceConfig(db=app.config.db), SnapshotDatasetProvider(app.config.db)
+        )
+
+        def fresh_get(headers):
+            return fresh.dispatch(HttpRequest(
+                method="GET", path="/v1/shared",
+                query={"os": ("Windows2000,Windows2003",)}, headers=headers,
+            ))
+
+        try:
+            rendered = fresh_get({})
+            assert rendered.status == cached.status == 200
+            assert rendered.headers["ETag"] == cached.etag
+            assert rendered.body != cached.body
+            assert cached.etag.startswith('W/"')
+            # Weak comparison: either spelling of the tag revalidates.
+            for presented in (cached.etag, cached.etag.removeprefix("W/")):
+                assert fresh_get({"if-none-match": presented}).status == 304
+                assert client.get(
+                    windows_path, headers={"If-None-Match": presented}
+                ).status == 304
+        finally:
+            fresh.shutdown()
 
     def test_subscription_invalidates_only_touched_cache_entries(
         self, db_server, corpus, tmp_path

@@ -173,12 +173,12 @@ class TestResponseCache:
 
 
 class TestEtags:
-    def test_etag_is_strong_and_stable(self):
+    def test_etag_is_weak_and_stable(self):
         one = make_etag("scope", "/v1/shared", "os=Debian")
         two = make_etag("scope", "/v1/shared", "os=Debian")
         assert one == two
-        assert one.startswith('"') and one.endswith('"')
-        assert not one.startswith('W/')
+        assert one.startswith('W/"') and one.endswith('"')
+        assert len(one) == len('W/""') + 32
 
     def test_etag_varies_with_every_component(self):
         base = make_etag("scope", "/path", "q=1")

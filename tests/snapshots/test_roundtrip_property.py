@@ -12,10 +12,10 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import ServerConfiguration
 from repro.db.database import VulnerabilityDatabase
-from repro.runner.cache import scoped_corpus_digest
-from repro.snapshots.digests import dataset_digest_of
+from repro.snapshots.digests import dataset_digest_of, scope_digest
 from repro.snapshots.store import SnapshotStore
 from tests.conftest import make_entry
 
@@ -121,14 +121,12 @@ def test_scope_digests_move_only_for_touched_groups(before, after):
         return  # the batch was a net no-op; nothing to compare
     new_entries = store.entries_at(second.snapshot_id)
     diff = store.diff(first.snapshot_id, second.snapshot_id)
+    admitted = ServerConfigurationFilter(ServerConfiguration.ISOLATED_THIN).apply
+    old_pool, new_pool = admitted(old_entries), admitted(new_entries)
 
     for group in ((OSES[0],), (OSES[1], OSES[2]), OSES):
         untouched = not diff.touches_group(group)
-        same_digest = scoped_corpus_digest(
-            old_entries, group, ServerConfiguration.ISOLATED_THIN
-        ) == scoped_corpus_digest(
-            new_entries, group, ServerConfiguration.ISOLATED_THIN
-        )
+        same_digest = scope_digest(old_pool, group) == scope_digest(new_pool, group)
         if untouched:
             # The cache-key scope of an untouched group never moves.
             assert same_digest
