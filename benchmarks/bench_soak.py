@@ -1,7 +1,7 @@
 """Production-churn soak gate: a 2-worker cluster under mixed load + deltas.
 
-The end-to-end "production under churn" proof for the sharded serving
-layer, held on a live cluster (real sockets, real processes, one shared
+The end-to-end "production under churn" proof for the multi-worker
+serving layer, held on a live cluster (real sockets, real processes, one shared
 snapshot ledger):
 
 * **zero stale ETag reads** -- once a delta-ingest call returns, no reader

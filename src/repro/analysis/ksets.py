@@ -14,6 +14,7 @@ interpretations of that count:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -22,6 +23,28 @@ from repro.analysis.dataset import VulnerabilityDataset
 from repro.core.constants import OS_NAMES
 from repro.core.enums import ServerConfiguration
 from repro.core.models import VulnerabilityEntry
+
+#: Common-vulnerability count per k-OS combination (what
+#: :meth:`KSetAnalysis.per_combination_totals` returns).
+Totals = Mapping[Tuple[str, ...], int]
+
+
+def best_of(totals: Totals, top: int) -> List[Tuple[Tuple[str, ...], int]]:
+    """The ``top`` combinations with the fewest common vulnerabilities.
+
+    Ties break on the combination itself, so the result equals
+    ``sorted(totals.items(), key=lambda item: (item[1], item[0]))[:top]``;
+    a bounded heap selection gets there without sorting every combination.
+    """
+    return heapq.nsmallest(top, totals.items(), key=lambda item: (item[1], item[0]))
+
+
+def worst_of(totals: Totals, top: int) -> List[Tuple[Tuple[str, ...], int]]:
+    """The ``top`` combinations with the most common vulnerabilities.
+
+    The mirror of :func:`best_of` under the ``(-count, combination)`` key.
+    """
+    return heapq.nsmallest(top, totals.items(), key=lambda item: (-item[1], item[0]))
 
 
 @dataclass(frozen=True)
@@ -122,13 +145,11 @@ class KSetAnalysis:
 
     def best_combinations(self, k: int, top: int = 5) -> List[Tuple[Tuple[str, ...], int]]:
         """The ``top`` k-OS combinations with the fewest common vulnerabilities."""
-        totals = self.per_combination_totals(k)
-        return sorted(totals.items(), key=lambda item: (item[1], item[0]))[:top]
+        return best_of(self.per_combination_totals(k), top)
 
     def worst_combinations(self, k: int, top: int = 5) -> List[Tuple[Tuple[str, ...], int]]:
         """The ``top`` k-OS combinations with the most common vulnerabilities."""
-        totals = self.per_combination_totals(k)
-        return sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:top]
+        return worst_of(self.per_combination_totals(k), top)
 
     def combinations_fully_covered(self, k: int) -> int:
         """Number of ``k``-OS combinations with at least one common vulnerability."""

@@ -72,7 +72,17 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.analysis.engine import ReplicaIncidence
 from repro.classify.filters import ServerConfigurationFilter
@@ -92,6 +102,8 @@ ARRIVALS: Tuple[str, ...] = ("poisson", "aging")
 
 #: Two-sided z for the 95% Wilson score interval.
 _WILSON_Z = 1.959963984540054
+
+T = TypeVar("T")
 
 
 def wilson_interval(
@@ -230,22 +242,48 @@ class RunRangeTallies:
         return self.run_stop - self.run_start
 
 
+def order_contiguous(
+    partials: Sequence[T],
+    span_of: Callable[[T], Tuple[int, int]],
+) -> List[T]:
+    """Sort partials by span start and verify they tile one contiguous range.
+
+    This is the merge-ordering discipline: sorting first makes the merge
+    independent of worker completion order, and the walk then demands that
+    each half-open ``[start, stop)`` span begins exactly where the previous
+    one stopped.  Empty spans (``start == stop``) are permitted and simply
+    contribute nothing.  Returns the ordered partials; raises
+    :class:`ValueError` (message containing ``"not contiguous"``) on gaps,
+    overlaps or duplicates, and on an empty partial list.
+    """
+    if not partials:
+        raise ValueError("cannot merge an empty list of spans")
+    ordered = sorted(partials, key=lambda partial: span_of(partial)[0])
+    expected = span_of(ordered[0])[0]
+    for partial in ordered:
+        start, stop = span_of(partial)
+        if stop < start:
+            raise ValueError(f"invalid span [{start}, {stop})")
+        if start != expected and start != stop:
+            raise ValueError(
+                f"spans are not contiguous: expected a span starting at "
+                f"{expected}, got [{start}, {stop})"
+            )
+        expected = max(expected, stop)
+    return ordered
+
+
 def merge_run_ranges(partials: Sequence[RunRangeTallies]) -> RunRangeTallies:
     """Merge disjoint partial tallies into one contiguous range.
 
     Merging is **order-independent**: partials are sorted by ``run_start``
-    before concatenation (the shared span discipline of
-    :func:`repro.runner.spans.order_contiguous`, which the serving layer's
-    query sharding reuses), so shuffled worker-completion orders produce
-    the same merged tallies bit for bit (regression-tested by
-    ``tests/runner/test_merge.py``).  Gaps, overlaps and duplicated ranges
-    raise :class:`~repro.core.exceptions.SimulationError` instead of silently
+    before concatenation (:func:`order_contiguous`), so shuffled
+    worker-completion orders produce the same merged tallies bit for bit
+    (regression-tested by ``tests/runner/test_merge.py``).  Gaps, overlaps
+    and duplicated ranges raise
+    :class:`~repro.core.exceptions.SimulationError` instead of silently
     corrupting the statistics.
     """
-    # Imported lazily: repro.runner imports this module at package-import
-    # time, so a top-level import back into repro.runner would be cyclic.
-    from repro.runner.spans import order_contiguous
-
     try:
         ordered = order_contiguous(
             partials, lambda tallies: (tallies.run_start, tallies.run_stop)

@@ -8,8 +8,9 @@ Four seams, threaded through every hot layer (see ``docs/observability.md``):
   labels and fixed buckets, rendered as Prometheus text exposition
   (``GET /metrics``, per worker and cluster-aggregated);
 * :mod:`repro.obs.tracing` -- per-request traces with span records,
-  propagated across shard scatter calls via ``X-Repro-Trace`` and
-  retained in a bounded ring buffer (``GET /v1/traces``);
+  propagated to peer workers via ``X-Repro-Trace`` (invalidation
+  broadcasts, metric gathering, forwarded job polls) and retained in a
+  bounded ring buffer (``GET /v1/traces``);
 * :mod:`repro.obs.logging` -- the structured JSON-lines logger that
   OBS401 steers library diagnostics through.
 

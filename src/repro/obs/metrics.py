@@ -17,9 +17,9 @@ Two render paths share one code point:
 * ``registry.render()`` -- this worker's samples as Prometheus text
   exposition format (``GET /metrics`` on a single worker);
 * :func:`render_exposition` over several ``(snapshot, extra_labels)``
-  parts -- the cluster-aggregated view: the coordinating worker
-  scatter-gathers peer ``/internal/v1/metrics`` JSON snapshots and
-  renders every shard's samples side by side under a ``shard`` label
+  parts -- the cluster-aggregated view: the scraped worker gathers its
+  peers' ``/internal/v1/metrics`` JSON snapshots and renders every
+  shard's samples side by side under a ``shard`` label
   (no cross-worker summing: sums are wrong for gauges and hide skew
   for histograms; per-shard series keep scrapes honest).
 

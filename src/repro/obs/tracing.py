@@ -4,17 +4,18 @@ Every HTTP request the service dispatches gets a :class:`Trace` -- either
 joining the id a client (or a coordinating peer worker) supplied in the
 ``X-Repro-Trace`` header, or minting a fresh one.  Handlers hang
 :class:`Span` records off the active trace (``parse``, ``cache.lookup``,
-``registry.compile``, ``scatter`` fan-out, ``merge``, ``ingest.apply``,
-``ingest.broadcast``); finished traces land in a bounded ring buffer
-(``collections.deque(maxlen=...)``) queryable at ``GET /v1/traces``.
+``registry.compile``, ``ingest.apply``, ``ingest.broadcast``,
+``metrics.gather``, ``jobs.forward``); finished traces land in a bounded
+ring buffer (``collections.deque(maxlen=...)``) queryable at
+``GET /v1/traces``.
 
 Thread model: dispatch runs on a thread pool, so the "current trace" is
 ``threading.local`` per :class:`Tracer` (contextvars do not survive
-``loop.run_in_executor`` hops).  Scatter fan-out submits work to a
-*different* pool; the scatter code captures ``tracer.current()`` on the
-dispatch thread and passes it to ``tracer.span(..., trace=...)``
-explicitly, which is the one sanctioned way to record spans from a
-foreign thread (``Trace.record`` takes a lock).
+``loop.run_in_executor`` hops).  Work handed to a *different* thread
+records spans by capturing ``tracer.current()`` on the dispatch thread
+and passing it to ``tracer.span(..., trace=...)`` explicitly, which is
+the one sanctioned way to record spans from a foreign thread
+(``Trace.record`` takes a lock).
 
 Tracing is observe-only: ``span()`` with no active trace yields an inert
 handle and records nothing, and no payload byte ever depends on a trace.
@@ -191,9 +192,9 @@ class Tracer:
     ) -> Iterator[SpanHandle]:
         """Record a span on ``trace`` (or the current one); no-op without one.
 
-        Passing ``trace`` explicitly is how scatter-pool threads -- which
-        have no thread-local current trace -- attach their spans to the
-        coordinating request.
+        Passing ``trace`` explicitly is how a thread with no thread-local
+        current trace attaches its spans to the request that started the
+        work.
         """
         target = trace if trace is not None else self.current()
         handle = SpanHandle(name, {key: str(value) for key, value in tags.items()})

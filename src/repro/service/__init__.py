@@ -16,11 +16,11 @@ memory**:
 * :mod:`repro.service.server` -- the application, the asyncio front end,
   :func:`~repro.service.server.serve` and the embeddable
   :class:`~repro.service.server.ServiceServer`;
-* :mod:`repro.service.sharding` / :mod:`repro.service.cluster` -- the
-  deterministic combination-space partitioning behind sharded matrix
-  queries, and the multi-process deployment (``--workers N``:
-  ``SO_REUSEPORT`` or front-router, scatter-gather over internal
-  listeners, cross-process cache invalidation);
+* :mod:`repro.service.cluster` -- the multi-process deployment
+  (``--workers N``: ``SO_REUSEPORT`` or front-router; every worker answers
+  matrix queries itself, and the internal listeners carry cross-process
+  cache invalidation, metric and trace gathering and job-poll
+  forwarding);
 * :mod:`repro.service.routing` / :mod:`~repro.service.schemas` /
   :mod:`~repro.service.errors` / :mod:`~repro.service.config` -- routing,
   payload schemas, the structured error envelope and configuration.
@@ -32,9 +32,7 @@ from repro.service.cache import CachedResponse, ResponseCache, make_etag
 from repro.service.cluster import (
     FrontRouter,
     HttpPeer,
-    LocalPeer,
     ServiceCluster,
-    local_shard_fleet,
     serve_cluster,
 )
 from repro.service.config import ServiceConfig, ServiceConfigError
@@ -80,7 +78,6 @@ __all__ = [
     "HttpResponse",
     "Job",
     "JobTable",
-    "LocalPeer",
     "MethodNotAllowed",
     "NotFound",
     "NotImplementedFeature",
@@ -92,7 +89,6 @@ __all__ = [
     "ServiceServer",
     "SnapshotDatasetProvider",
     "StaticDatasetProvider",
-    "local_shard_fleet",
     "make_etag",
     "serve",
     "serve_cluster",

@@ -12,13 +12,16 @@ deployment:
   forces it), a tiny stdlib asyncio TCP proxy in the parent process
   round-robins connections to the workers instead.
 * **internal listeners** -- every worker also binds a private per-worker
-  port.  Scatter-gather span partials, cross-process cache invalidation
-  and per-worker health checks travel over these; the public address
-  never routes them.
-* **sharding config** -- the deployment config is specialised per worker
-  (``shards=N``, ``shard_index=i``, ``peers=<internal URLs>``), which is
-  all :mod:`repro.service.sharding` needs for digest-consistent span
-  ownership.
+  port.  Cross-process cache invalidation, metric and trace gathering,
+  job polls forwarded to the worker that owns the job, and per-worker
+  health checks travel over these; the public address never routes them.
+* **per-worker config** -- the deployment config is specialised per
+  worker (``shard_index=i``, ``peers=<internal URLs>``).
+
+Every worker answers pair and k-set matrix queries itself: on a 2-vCPU
+host one worker's one-pass k-set payload was faster than the slower half
+of a two-way split of the same query, before any transport was counted,
+so the query is never split across workers.
 
 Workers rebuild their dataset from the config alone (a ``--db`` ledger
 path, a ``--catalogue`` spec, or the seeded synthetic corpus), so the
@@ -45,14 +48,10 @@ import sys
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.service.config import ServiceConfig, ServiceConfigError
-from repro.service.server import (
-    DiversityService,
-    HttpRequest,
-    _handle_connection,
-)
+from repro.service.server import DiversityService, _handle_connection
 
 #: How long ``ServiceCluster.start`` waits for every worker's internal
 #: health check before declaring the deployment dead.
@@ -74,8 +73,7 @@ class HttpPeer:
 
     Used from dispatch threads only (never the event loop): one short
     connection per call keeps the client trivially thread-safe, and the
-    internal listeners are loopback sockets where setup cost is noise
-    next to the span computation being fetched.
+    internal listeners are loopback sockets where setup cost is small.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
@@ -123,79 +121,6 @@ class HttpPeer:
         """POST a JSON body; returns the response status."""
         status, _body = self._request("POST", path, body, headers)
         return status
-
-
-class LocalPeer:
-    """A peer that dispatches straight into an in-process service.
-
-    Lets tests and benchmarks exercise the exact scatter-gather code path
-    -- query-string building, partial parsing, digest guards -- against N
-    :class:`DiversityService` instances in one process, with no sockets
-    and no spawn latency.
-    """
-
-    def __init__(self, app: DiversityService) -> None:
-        self.app = app
-
-    def _dispatch(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, bytes]:
-        parts = urlsplit(path)
-        query = {
-            name: tuple(values)
-            for name, values in parse_qs(
-                parts.query, keep_blank_values=True
-            ).items()
-        }
-        sent = {"content-type": "application/json"} if body else {}
-        for name, value in (headers or {}).items():
-            sent[name.lower()] = value
-        response = self.app.dispatch(
-            HttpRequest(
-                method=method, path=parts.path, query=query,
-                headers=sent, body=body,
-            )
-        )
-        return response.status, response.body
-
-    def get_json(
-        self, path: str, headers: Optional[Dict[str, str]] = None
-    ) -> Optional[Dict[str, object]]:
-        status, body = self._dispatch("GET", path, b"", headers)
-        if status != 200:
-            return None
-        return json.loads(body)
-
-    def post_json(
-        self, path: str, body: bytes, headers: Optional[Dict[str, str]] = None
-    ) -> int:
-        status, _body = self._dispatch("POST", path, body, headers)
-        return status
-
-
-def local_shard_fleet(
-    config: ServiceConfig, shards: int, provider=None
-) -> List[DiversityService]:
-    """N sharded services wired together with :class:`LocalPeer` rows.
-
-    The in-process twin of a real cluster: every service owns a shard
-    index and scatters to the others through direct dispatch.  Providers
-    may be shared (static datasets are immutable; snapshot providers open
-    per-call connections), so all N answer for the same dataset state.
-    """
-    configs = [
-        dataclasses.replace(config, shards=shards, shard_index=index, peers=())
-        for index in range(shards)
-    ]
-    services = [DiversityService(c, provider=provider) for c in configs]
-    peers = [LocalPeer(service) for service in services]
-    for service in services:
-        service.peers = list(peers)
-    return services
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +181,7 @@ async def _worker_serve(
     app.obs_log.log(
         "worker.up",
         shard=config.shard_index,
-        shards=config.shards,
+        shards=len(config.peers),
         internal=f"http://{internal_host}:{internal_port}",
         public=f"http://{public[0]}:{public[1]}" if public else None,
     )
@@ -422,7 +347,7 @@ def _reserve_ports(host: str, count: int) -> List[int]:
 class ServiceCluster:
     """An N-worker deployment, drivable from tests and the CLI.
 
-    ``start()`` derives one sharded config per worker, spawns the
+    ``start()`` derives one config per worker, spawns the
     processes (``spawn`` context: workers rebuild state from config, so
     behaviour matches a cold ``repro serve`` exactly), waits for every
     internal health check, and returns the public base URL.  ``stop()``
@@ -456,7 +381,6 @@ class ServiceCluster:
             worker_config = dataclasses.replace(
                 self.config,
                 port=public_port,
-                shards=workers,
                 shard_index=index,
                 peers=peers,
                 front_router=False,

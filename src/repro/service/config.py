@@ -36,13 +36,13 @@ class ServiceConfig:
     bounds how long a SIGTERM waits for running jobs before the loop
     stops.
 
-    The sharding block (``shards``, ``shard_index``, ``peers``) is filled
-    in by :mod:`repro.service.cluster` when it derives one per-worker
-    config from the deployment config: ``shards`` partitions the
-    combination space of pair/k-set matrix queries, ``shard_index`` names
-    this worker's own partition, and ``peers`` lists every worker's
-    internal base URL (indexed by shard) for scatter-gather and
-    cross-process cache invalidation.
+    The worker block (``shard_index``, ``peers``) is filled in by
+    :mod:`repro.service.cluster` when it derives one per-worker config from
+    the deployment config: ``peers`` lists every worker's internal base URL
+    and ``shard_index`` is this worker's position in it.  The peers carry
+    cross-process cache invalidation, metric and trace gathering and
+    job-poll forwarding; every worker answers matrix queries itself.  A
+    standalone server has no peers and index 0.
     """
 
     host: str = "127.0.0.1"
@@ -66,9 +66,7 @@ class ServiceConfig:
     catalogue: Optional[str] = None
     #: Force the stdlib front-router even where ``SO_REUSEPORT`` exists.
     front_router: bool = False
-    #: Combination-space partitions (the cluster sets this to ``workers``).
-    shards: int = 1
-    #: This worker's partition index in ``[0, shards)``.
+    #: This worker's index into ``peers`` (0 when standalone).
     shard_index: int = 0
     #: Internal base URLs of every worker, indexed by shard.
     peers: Tuple[str, ...] = ()
@@ -107,16 +105,10 @@ class ServiceConfig:
             raise ServiceConfigError(
                 "the trace ring buffer needs at least one slot"
             )
-        if self.shards < 1:
-            raise ServiceConfigError("the query space needs at least one shard")
-        if not 0 <= self.shard_index < self.shards:
+        if not 0 <= self.shard_index < max(1, len(self.peers)):
             raise ServiceConfigError(
-                f"shard index {self.shard_index} is outside [0, {self.shards})"
-            )
-        if self.peers and len(self.peers) != self.shards:
-            raise ServiceConfigError(
-                f"{len(self.peers)} peer URLs for {self.shards} shards; "
-                "peers must be indexed by shard"
+                f"shard index {self.shard_index} does not index the "
+                f"{len(self.peers)} peer URLs"
             )
         if self.catalogue is not None:
             if self.db or self.feeds:

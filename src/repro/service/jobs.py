@@ -9,11 +9,15 @@ its own process pool) and stores the deterministic
 result.  Clients poll ``GET /v1/jobs/<id>`` through the
 ``queued -> running -> done | failed`` lifecycle.
 
-Submission is idempotent per client-supplied id: resubmitting the same id
-with the same request body returns the existing job; the same id with a
-*different* body is a 409 conflict.  :meth:`JobTable.drain` flips the
-table into drain mode (new submissions fail with 503) and waits for
-running jobs -- the SIGTERM path of the server.
+Generated ids name the worker that owns the job (``job-<shard>-<n>``), so
+ids from different workers of one deployment never collide and a poll
+that lands on another worker can be forwarded to the owner.  Submission is
+idempotent per client-supplied id: resubmitting the same id with the same
+request body returns the existing job; the same id with a *different* body
+is a 409 conflict.  Client-supplied ids are kept per worker.
+:meth:`JobTable.drain` flips the table into drain mode (new submissions
+fail with 503) and waits for running jobs -- the SIGTERM path of the
+server.
 """
 
 from __future__ import annotations
@@ -38,6 +42,15 @@ QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 #: never smuggle header-breaking bytes into the ``Location`` header or
 #: path separators into ``GET /v1/jobs/<id>`` routing.
 JOB_ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+
+#: Ids the table generates: ``job-<shard>-<n>``.
+GENERATED_ID_PATTERN = re.compile(r"^job-(\d+)-\d+$")
+
+
+def generating_shard(job_id: str) -> Optional[int]:
+    """The shard index a generated job id names; ``None`` for any other id."""
+    match = GENERATED_ID_PATTERN.match(job_id)
+    return int(match.group(1)) if match else None
 
 
 def request_fingerprint(payload: Mapping[str, object]) -> str:
@@ -102,9 +115,11 @@ class JobTable:
     """Registers, executes and drains background simulation jobs.
 
     ``runner_factory(job)`` must return the sweep report payload for one
-    job; the table owns a small thread pool that invokes it.  The factory runs off the event loop, so it may block for minutes
-    -- the process pool inside :class:`~repro.runner.runner.GridRunner`
-    provides the actual parallelism.
+    job; the table owns a small thread pool that invokes it.  The factory
+    runs off the event loop, so it may block for minutes -- the process
+    pool inside :class:`~repro.runner.runner.GridRunner` provides the
+    actual parallelism.  ``shard`` is the owning worker's index, stamped
+    into every generated id.
     """
 
     def __init__(
@@ -112,6 +127,7 @@ class JobTable:
         runner_factory: Callable[[Job], Dict[str, object]],
         executor_threads: int = 2,
         max_jobs: int = 128,
+        shard: int = 0,
     ) -> None:
         if max_jobs < 1:
             raise ValueError("the job table needs room for at least one job")
@@ -123,6 +139,7 @@ class JobTable:
         self._order: List[str] = []
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
+        self._shard = shard
         self._draining = False
         self._idle = threading.Condition(self._lock)
         self._max_jobs = max_jobs
@@ -180,7 +197,7 @@ class JobTable:
             else:
                 # Generated ids skip over anything a client already claimed.
                 while True:
-                    job_id = f"job-{next(self._counter)}"
+                    job_id = f"job-{self._shard}-{next(self._counter)}"
                     if job_id not in self._jobs:
                         break
             job = Job(

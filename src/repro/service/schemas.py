@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.ksets import KSetAnalysis
+from repro.analysis.ksets import KSetAnalysis, best_of, worst_of
 from repro.analysis.selection import ReplicaSetSelector, SelectionResult
 from repro.core.constants import get_os
 from repro.core.enums import ServerConfiguration
@@ -228,6 +228,7 @@ def ksets_payload(
     scope_digest: str,
 ) -> Dict[str, object]:
     analysis: KSetAnalysis = artifacts.ksets(configuration)
+    # One totals pass per cache miss; best and worst select from it.
     totals = analysis.per_combination_totals(k)
     return {
         "dataset": dataset_block(artifacts),
@@ -237,11 +238,11 @@ def ksets_payload(
         "fully_covered": sum(1 for count in totals.values() if count > 0),
         "best": [
             {"os_names": list(combo), "shared": count}
-            for combo, count in analysis.best_combinations(k, top)
+            for combo, count in best_of(totals, top)
         ],
         "worst": [
             {"os_names": list(combo), "shared": count}
-            for combo, count in analysis.worst_combinations(k, top)
+            for combo, count in worst_of(totals, top)
         ],
         "scope_digest": scope_digest,
     }

@@ -81,7 +81,7 @@ from repro.service.errors import (
     PayloadTooLarge,
     internal_error,
 )
-from repro.service.jobs import Job, JobTable, request_fingerprint
+from repro.service.jobs import Job, JobTable, generating_shard, request_fingerprint
 from repro.service.registry import (
     ArtifactRegistry,
     CorpusArtifacts,
@@ -90,7 +90,7 @@ from repro.service.registry import (
     StaticDatasetProvider,
 )
 from repro.service.routing import Router
-from repro.service import schemas, sharding
+from repro.service import schemas
 
 #: Largest accepted request body (modified feeds are well under this).
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -172,7 +172,7 @@ def _default_provider(config: ServiceConfig):
 class DiversityService:
     """The transport-free application behind ``repro serve``."""
 
-    def __init__(self, config: ServiceConfig, provider=None, peers=None) -> None:
+    def __init__(self, config: ServiceConfig, provider=None) -> None:
         self.config = config
         self.provider = provider if provider is not None else _default_provider(config)
         # One metrics registry and one tracer per worker: every component
@@ -197,22 +197,12 @@ class DiversityService:
         self.responses = ResponseCache(
             max_entries=config.cache_size, metrics=self.metrics
         )
-        self.jobs = JobTable(self._run_job)
+        self.jobs = JobTable(self._run_job, shard=config.shard_index)
         self.started = self.clock.wall()
         self._request_pool = ThreadPoolExecutor(
             max_workers=config.request_threads, thread_name_prefix="repro-http"
         )
-        self.peers = self._resolve_peers(peers)
-        # Fan-out runs on its own small pool: a scatter blocking on peer
-        # responses must never occupy the request threads those peers (or
-        # concurrent clients) need to make progress.
-        self._scatter_pool = (
-            ThreadPoolExecutor(
-                max_workers=max(2, config.shards), thread_name_prefix="repro-scatter"
-            )
-            if config.shards > 1
-            else None
-        )
+        self.peers = self._resolve_peers()
         self._request_counter = self.metrics.counter(
             "http_requests_total",
             "Requests dispatched, by method, route template and status.",
@@ -222,11 +212,6 @@ class DiversityService:
             "http_request_seconds",
             "Request dispatch wall time, by route template.",
             labels=("route",),
-        )
-        self._scatter_counter = self.metrics.counter(
-            "scatter_partials_total",
-            "Scatter-gather span partials, by compute mode.",
-            labels=("mode",),
         )
         self._broadcast_counter = self.metrics.counter(
             "invalidation_broadcasts_total",
@@ -249,8 +234,6 @@ class DiversityService:
         )
         self.router = Router()
         add = self.router.add
-        add("GET", "/internal/v1/shards/pairs", self._shard_pairs)
-        add("GET", "/internal/v1/shards/ksets", self._shard_ksets)
         add("POST", "/internal/v1/invalidate", self._internal_invalidate)
         add("GET", "/internal/v1/metrics", self._internal_metrics)
         add("GET", "/internal/v1/traces", self._internal_traces)
@@ -293,126 +276,23 @@ class DiversityService:
     def shutdown(self) -> None:
         """Release the request pool (the job table is drained separately)."""
         self._request_pool.shutdown(wait=False, cancel_futures=True)
-        if self._scatter_pool is not None:
-            self._scatter_pool.shutdown(wait=False, cancel_futures=True)
 
-    def _resolve_peers(self, peers):
-        """The peer clients scatter-gather and invalidation fan out to.
+    def _resolve_peers(self):
+        """Clients for every worker's internal listener, indexed by shard.
 
-        An explicit ``peers`` sequence wins (tests inject
-        :class:`~repro.service.cluster.LocalPeer` rows to exercise the
-        merge path in-process); otherwise ``config.peers`` URLs become
-        HTTP clients.  Without either, a sharded config still works --
-        every span is computed locally, which keeps single-process
-        deployments and byte-identity tests honest.
+        Invalidation broadcasts, metric and trace gathering and job-poll
+        forwarding fan out over these; a standalone worker has none.
         """
-        if peers is not None:
-            return list(peers)
         if not self.config.peers:
             return []
         from repro.service.cluster import HttpPeer
 
         return [HttpPeer(url) for url in self.config.peers]
 
-    # -- scatter-gather -------------------------------------------------------
-
-    @property
-    def scatter_remote(self) -> int:
-        return int(self._scatter_counter.value(mode="remote"))
-
-    @property
-    def scatter_local(self) -> int:
-        return int(self._scatter_counter.value(mode="local"))
-
-    @property
-    def scatter_fallback(self) -> int:
-        return int(self._scatter_counter.value(mode="fallback"))
-
-    def _scatter_partials(
-        self,
-        kind: str,
-        artifacts: CorpusArtifacts,
-        configuration: ServerConfiguration,
-        k: int,
-        top: int,
-    ):
-        """One partial per span, remote where a peer owns it.
-
-        Every remote failure -- peer down, non-200, or a digest mismatch
-        because the peer already serves a newer snapshot -- falls back to
-        computing that span locally, so the merge below always sees a
-        single-digest, fully-covering partial set.  ``None`` means the
-        query is not sharded at all.
-        """
-        if self.config.shards <= 1:
-            return None
-        plan = sharding.plan_spans(
-            artifacts.digest, len(artifacts.os_names), k, self.config.shards
-        )
-        # Captured on the dispatch thread: the scatter pool's threads have
-        # no thread-local current trace, so partial spans attach explicitly.
+    def _trace_headers(self) -> Optional[Dict[str, str]]:
+        """The current trace id as a header, so a peer's spans join it."""
         trace = self.tracer.current()
-
-        def compute(span: sharding.Span, owner: int):
-            with self.tracer.span(
-                "scatter.partial", trace=trace, owner=owner
-            ) as handle:
-                mode = "local"
-                if owner != self.config.shard_index and owner < len(self.peers):
-                    partial = self._fetch_partial(
-                        owner, kind, configuration, k, top, span,
-                        artifacts.digest, trace,
-                    )
-                    if partial is not None:
-                        handle.tag(mode="remote")
-                        self._scatter_counter.inc(mode="remote")
-                        return partial
-                    mode = "fallback"
-                handle.tag(mode=mode)
-                self._scatter_counter.inc(mode=mode)
-                if kind == "pairs":
-                    return sharding.pairs_span_payload(artifacts, configuration, span)
-                return sharding.ksets_span_payload(
-                    artifacts, configuration, k, top, span
-                )
-
-        with self.tracer.span("scatter", trace=trace, kind=kind, spans=len(plan)):
-            if self._scatter_pool is None or len(plan) <= 1:
-                return [compute(span, owner) for span, owner in plan]
-            futures = [
-                self._scatter_pool.submit(compute, span, owner)
-                for span, owner in plan
-            ]
-            return [future.result() for future in futures]
-
-    def _fetch_partial(
-        self,
-        owner: int,
-        kind: str,
-        configuration: ServerConfiguration,
-        k: int,
-        top: int,
-        span: sharding.Span,
-        digest: str,
-        trace=None,
-    ):
-        """Ask the owning peer for one span partial; ``None`` on any miss."""
-        query = (
-            f"configuration={schemas.configuration_slug(configuration)}"
-            f"&span={sharding.format_span(span)}&digest={digest}"
-        )
-        if kind == "ksets":
-            query += f"&k={k}&top={top}"
-        headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
-        try:
-            partial = self.peers[owner].get_json(
-                f"/internal/v1/shards/{kind}?{query}", headers=headers
-            )
-        except Exception:  # repro: noqa[GEN301] -- peer churn degrades to local compute, never to a failed request
-            return None
-        if partial is None or partial.get("digest") != digest:
-            return None
-        return partial
+        return {TRACE_HEADER: trace.trace_id} if trace is not None else None
 
     def dispatch(
         self,
@@ -422,11 +302,12 @@ class DiversityService:
         """Route one request; every failure renders the error envelope.
 
         Every dispatch runs under a :class:`~repro.obs.tracing.Trace` --
-        joining the id an ``X-Repro-Trace`` header carries (how spans from
-        a scatter-gather's peer workers land in the same trace) or minting
-        a fresh one -- and increments the request counter labelled by the
-        matched route *template*, so metric cardinality stays bounded no
-        matter what paths clients probe.
+        joining the id an ``X-Repro-Trace`` header carries (how a peer
+        worker's spans for a broadcast, a gather or a forwarded job poll
+        land in the caller's trace) or minting a fresh one -- and
+        increments the request counter labelled by the matched route
+        *template*, so metric cardinality stays bounded no matter what
+        paths clients probe.
         """
         trace = self.tracer.begin(
             f"{request.method} {request.path}",
@@ -559,13 +440,8 @@ class DiversityService:
             "response_cache": self.responses.stats(),
             "shard": {
                 "index": self.config.shard_index,
-                "count": self.config.shards,
+                "count": len(self.peers) or 1,
                 "peers": len(self.peers),
-                "scatter": {
-                    "remote": self.scatter_remote,
-                    "local": self.scatter_local,
-                    "fallback": self.scatter_fallback,
-                },
             },
         }
         return HttpResponse(body=schemas.dumps(payload))
@@ -584,10 +460,10 @@ class DiversityService:
         """Prometheus text exposition; cluster-aggregated by default.
 
         ``?scope=worker`` restricts the scrape to this worker.  The cluster
-        view scatter-gathers every peer's ``/internal/v1/metrics`` JSON
-        snapshot -- the same fan-out path matrix queries use -- and renders
-        all samples side by side under per-shard labels (no cross-worker
-        summing: sums are wrong for gauges and hide skew).
+        view gathers every peer's ``/internal/v1/metrics`` JSON snapshot
+        over the internal listeners and renders all samples side by side
+        under per-shard labels (no cross-worker summing: sums are wrong for
+        gauges and hide skew).
         """
         scope = schemas.single(request.query, "scope", "cluster")
         if scope not in ("cluster", "worker"):
@@ -597,7 +473,7 @@ class DiversityService:
             )
         self._refresh_gauges()
         parts = [(self.metrics.snapshot(), {"shard": str(self.config.shard_index)})]
-        if scope == "cluster" and self.config.shards > 1 and self.peers:
+        if scope == "cluster" and len(self.peers) > 1:
             parts.extend(self._gather_peer_metrics())
         return HttpResponse(
             body=render_exposition(parts).encode("utf-8"),
@@ -605,34 +481,25 @@ class DiversityService:
         )
 
     def _gather_peer_metrics(self):
-        """Peer metric snapshots as exposition parts; dead peers are omitted."""
-        trace = self.tracer.current()
-        headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
+        """Peer metric snapshots as exposition parts; dead peers are omitted.
 
-        def fetch(index: int, peer):
-            try:
-                payload = peer.get_json("/internal/v1/metrics", headers=headers)
-            except Exception:  # repro: noqa[GEN301] -- a dead peer drops out of the aggregate; the scrape itself must not fail
-                return None
-            if not isinstance(payload, dict) or "metrics" not in payload:
-                return None
-            return payload["metrics"], {"shard": str(payload.get("shard", index))}
-
-        targets = [
-            (index, peer)
-            for index, peer in enumerate(self.peers)
-            if index != self.config.shard_index
-        ]
-        with self.tracer.span("metrics.gather", trace=trace, peers=len(targets)):
-            if self._scatter_pool is None:
-                results = [fetch(index, peer) for index, peer in targets]
-            else:
-                futures = [
-                    self._scatter_pool.submit(fetch, index, peer)
-                    for index, peer in targets
-                ]
-                results = [future.result() for future in futures]
-        return [part for part in results if part is not None]
+        Peers are asked one after another, as trace gathering does, under
+        the scrape's trace id.
+        """
+        headers = self._trace_headers()
+        parts = []
+        with self.tracer.span("metrics.gather", peers=len(self.peers) - 1):
+            for index, peer in enumerate(self.peers):
+                if index == self.config.shard_index:
+                    continue
+                try:
+                    payload = peer.get_json("/internal/v1/metrics", headers=headers)
+                except Exception:  # repro: noqa[GEN301] -- a dead peer drops out of the aggregate; the scrape itself must not fail
+                    continue
+                if isinstance(payload, dict) and "metrics" in payload:
+                    shard = str(payload.get("shard", index))
+                    parts.append((payload["metrics"], {"shard": shard}))
+        return parts
 
     def _internal_metrics(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
         """This worker's metric snapshot as JSON (the aggregation transport)."""
@@ -649,7 +516,7 @@ class DiversityService:
         Without ``?id=`` this lists this worker's ring buffer, newest
         first.  With an id, peer workers' rings are consulted too and the
         response carries every record plus one flattened, shard-stamped
-        span list -- a scatter-gather request viewed end to end.
+        span list -- a request that fanned out to peers viewed end to end.
         """
         trace_id = schemas.single(request.query, "id")
         if trace_id is None:
@@ -738,25 +605,10 @@ class DiversityService:
         configuration = schemas.parse_configuration(request.query)
         return self._cached_json(
             request, artifacts, None, configuration,
-            lambda digest: self._pairs_payload(artifacts, configuration, digest),
+            lambda digest: schemas.pair_matrix_payload(
+                artifacts, configuration, digest
+            ),
         )
-
-    def _pairs_payload(
-        self,
-        artifacts: CorpusArtifacts,
-        configuration: ServerConfiguration,
-        scope_digest: str,
-    ) -> Dict[str, object]:
-        partials = self._scatter_partials("pairs", artifacts, configuration, 2, 0)
-        if partials is not None:
-            try:
-                with self.tracer.span("merge", kind="pairs", partials=len(partials)):
-                    return sharding.merged_pair_matrix_payload(
-                        artifacts, configuration, partials, scope_digest
-                    )
-            except ValueError:  # pragma: no cover -- local fallbacks make merges total
-                pass
-        return schemas.pair_matrix_payload(artifacts, configuration, scope_digest)
 
     def _matrix_ksets(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
         artifacts = self.artifacts()
@@ -769,29 +621,10 @@ class DiversityService:
         top = schemas.parse_int(request.query, "top", default=5, minimum=1, maximum=100)
         return self._cached_json(
             request, artifacts, None, configuration,
-            lambda digest: self._ksets_payload(
+            lambda digest: schemas.ksets_payload(
                 artifacts, configuration, k, top, digest
             ),
         )
-
-    def _ksets_payload(
-        self,
-        artifacts: CorpusArtifacts,
-        configuration: ServerConfiguration,
-        k: int,
-        top: int,
-        scope_digest: str,
-    ) -> Dict[str, object]:
-        partials = self._scatter_partials("ksets", artifacts, configuration, k, top)
-        if partials is not None:
-            try:
-                with self.tracer.span("merge", kind="ksets", partials=len(partials)):
-                    return sharding.merged_ksets_payload(
-                        artifacts, configuration, k, top, partials, scope_digest
-                    )
-            except ValueError:  # pragma: no cover -- local fallbacks make merges total
-                pass
-        return schemas.ksets_payload(artifacts, configuration, k, top, scope_digest)
 
     def _widest(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
         artifacts = self.artifacts()
@@ -1008,56 +841,7 @@ class DiversityService:
                     self._broadcast_counter.inc(outcome="failed")
                     continue
 
-    # -- internal cluster handlers (never routed through the public merge) ----
-
-    def _shard_pairs(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
-        artifacts = self._shard_artifacts(request)
-        configuration = schemas.parse_configuration(request.query)
-        span = sharding.parse_span(
-            request.query, sharding.combination_space(len(artifacts.os_names), 2)
-        )
-        return self._cached_json(
-            request, artifacts, None, configuration,
-            lambda digest: sharding.pairs_span_payload(
-                artifacts, configuration, span
-            ),
-        )
-
-    def _shard_ksets(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
-        artifacts = self._shard_artifacts(request)
-        configuration = schemas.parse_configuration(request.query)
-        k = schemas.parse_int(
-            request.query, "k", default=3, minimum=2,
-            maximum=len(artifacts.os_names),
-        )
-        schemas.check_combination_budget(len(artifacts.os_names), k, "k")
-        top = schemas.parse_int(request.query, "top", default=5, minimum=1, maximum=100)
-        span = sharding.parse_span(
-            request.query, sharding.combination_space(len(artifacts.os_names), k)
-        )
-        return self._cached_json(
-            request, artifacts, None, configuration,
-            lambda digest: sharding.ksets_span_payload(
-                artifacts, configuration, k, top, span
-            ),
-        )
-
-    def _shard_artifacts(self, request: HttpRequest) -> CorpusArtifacts:
-        """Current artifacts, digest-guarded for span partial requests.
-
-        A 409 here tells the gatherer its dataset state and ours diverged
-        mid-scatter (a delta landed between its ``current()`` and this
-        request); it computes the span locally instead of merging two
-        snapshots into one payload.
-        """
-        artifacts = self.artifacts()
-        expected = schemas.single(request.query, "digest")
-        if expected is not None and expected != artifacts.digest:
-            raise Conflict(
-                "shard serves a different dataset state",
-                detail={"expected": expected, "current": artifacts.digest},
-            )
-        return artifacts
+    # -- internal cluster handlers --------------------------------------------
 
     def _internal_invalidate(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
         payload = schemas.parse_json_body(request.body)
@@ -1129,8 +913,34 @@ class DiversityService:
         return HttpResponse(body=schemas.dumps({"jobs": listing}))
 
     def _job(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
-        job = self.jobs.get(params["job_id"])
+        """One job; a generated id another worker owns is asked of it.
+
+        Generated ids name their worker (``job-<shard>-<n>``), so a poll the
+        shared port routes to another worker is forwarded to the owner's
+        internal listener.  An owner that is gone answers 404, like any
+        unknown job.  Client-supplied ids stay with the worker that took them.
+        """
+        job_id = params["job_id"]
+        try:
+            job = self.jobs.get(job_id)
+        except NotFound:
+            owner = generating_shard(job_id)
+            if owner in (None, self.config.shard_index) or owner >= len(self.peers):
+                raise
+            return self._forward_job(owner, job_id)
         return HttpResponse(body=schemas.dumps(job.payload()))
+
+    def _forward_job(self, owner: int, job_id: str) -> HttpResponse:
+        with self.tracer.span("jobs.forward", owner=owner):
+            try:
+                payload = self.peers[owner].get_json(
+                    f"/v1/jobs/{job_id}", headers=self._trace_headers()
+                )
+            except Exception:  # repro: noqa[GEN301] -- an unreachable owner reads as an unknown job
+                payload = None
+        if payload is None:
+            raise NotFound(f"no job named {job_id!r}", detail={"job_id": job_id})
+        return HttpResponse(body=schemas.dumps(payload))
 
 
 def _etag_matches(header: Optional[str], etag: str) -> bool:

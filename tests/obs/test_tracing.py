@@ -94,14 +94,14 @@ class TestSpans:
         def worker() -> None:
             # Foreign thread: no thread-local current trace here.
             assert tracer.current() is None
-            with tracer.span("scatter.partial", trace=trace, owner="1"):
+            with tracer.span("pool.task", trace=trace, owner="1"):
                 clock.advance(0.1)
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
         (span,) = trace.spans()
-        assert span.name == "scatter.partial"
+        assert span.name == "pool.task"
         assert span.tags == {"owner": "1"}
 
     def test_activation_restores_the_previous_trace(self):

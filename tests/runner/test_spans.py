@@ -1,43 +1,12 @@
-"""The generic span-partitioning/merge discipline behind both the PR-3
-run-range merge and the serving layer's sharded matrix queries."""
+"""The merge-ordering discipline behind the run-range merge
+(:func:`repro.itsys.simulation.order_contiguous`)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runner.spans import order_contiguous, partition_spans
-
-
-class TestPartitionSpans:
-    def test_even_split(self):
-        assert partition_spans(10, 2) == [(0, 5), (5, 10)]
-
-    def test_remainder_goes_to_the_leading_spans(self):
-        assert partition_spans(10, 3) == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_parts_than_items_yields_empty_spans(self):
-        spans = partition_spans(2, 4)
-        assert spans == [(0, 1), (1, 2), (2, 2), (2, 2)]
-
-    def test_zero_total(self):
-        assert partition_spans(0, 3) == [(0, 0), (0, 0), (0, 0)]
-
-    @pytest.mark.parametrize("total,parts", [(-1, 2), (5, 0), (5, -3)])
-    def test_invalid_inputs_raise(self, total, parts):
-        with pytest.raises(ValueError):
-            partition_spans(total, parts)
-
-    @given(st.integers(0, 5000), st.integers(1, 64))
-    def test_partition_tiles_the_space(self, total, parts):
-        spans = partition_spans(total, parts)
-        assert len(spans) == parts
-        assert spans[0][0] == 0 and spans[-1][1] == total
-        for (_, stop), (start, _) in zip(spans, spans[1:]):
-            assert stop == start
-        widths = [stop - start for start, stop in spans]
-        # Near-even: no span more than one wider than another.
-        assert max(widths) - min(widths) <= 1
+from repro.itsys.simulation import order_contiguous
 
 
 class TestOrderContiguous:
@@ -63,9 +32,13 @@ class TestOrderContiguous:
         ordered = order_contiguous(items, lambda item: item["s"])
         assert ordered[0]["s"] == (0, 3) and ordered[-1]["s"] == (3, 7)
 
-    @given(st.integers(0, 500), st.integers(1, 16), st.randoms())
-    def test_shuffled_partition_round_trips(self, total, parts, rng):
-        spans = partition_spans(total, parts)
+    @given(
+        st.lists(st.integers(0, 500), min_size=2, max_size=17, unique=True),
+        st.randoms(),
+    )
+    def test_shuffled_partition_round_trips(self, bounds, rng):
+        bounds = sorted(bounds)
+        spans = list(zip(bounds, bounds[1:]))
         shuffled = list(spans)
         rng.shuffle(shuffled)
         ordered = order_contiguous(shuffled, lambda span: span)

@@ -1,4 +1,4 @@
-"""Reusable production-churn soak harness for the sharded serving layer.
+"""Reusable production-churn soak harness for the multi-worker serving layer.
 
 Drives a live multi-worker cluster the way production traffic would: reader
 threads cycle a mixed query set against every worker's listener (presenting
@@ -47,7 +47,7 @@ TOUCHED_PATH = "/v1/shared?os=Debian,OpenBSD"
 UNTOUCHED_PATH = "/v1/shared?os=Windows2000,Windows2003"
 
 #: The default mixed query load: touched + untouched scopes, both matrix
-#: shapes (pairs exercises scatter-gather on a sharded cluster) and healthz.
+#: shapes and healthz.
 DEFAULT_PATHS: Tuple[str, ...] = (
     TOUCHED_PATH,
     UNTOUCHED_PATH,

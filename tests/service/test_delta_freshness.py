@@ -11,6 +11,8 @@ the touched response-cache entries.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.classify.filters import ServerConfigurationFilter
@@ -27,7 +29,7 @@ from repro.service.server import HttpRequest
 from repro.snapshots.store import SnapshotStore
 from repro.synthetic.evolution import evolve_corpus
 
-from tests.service.conftest import ServiceClient
+from tests.service.conftest import ServiceClient, make_app
 
 WINDOWS = {"Windows2000", "Windows2003", "Windows2008"}
 
@@ -241,3 +243,15 @@ class TestEtagFreshnessAcrossDeltas:
         client.get("/v1/catalogue")
         assert app.registry.compile_count == 2
         assert len(app.registry) == 2  # the old snapshot stays pinnable
+
+
+class TestInternalInvalidate:
+    def test_invalidate_rejects_bad_bodies(self, corpus):
+        app = make_app(corpus)
+        result = app.dispatch(
+            HttpRequest(
+                method="POST", path="/internal/v1/invalidate", query={},
+                headers={}, body=json.dumps({"digest": 7}).encode(),
+            )
+        )
+        assert result.status == 400

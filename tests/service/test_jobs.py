@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import time
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from repro.runner import ArrivalSpec, ExperimentGrid, GridRunner
 from repro.service import ServiceServer
 from repro.service.errors import Draining
-from repro.service.jobs import request_fingerprint
+from repro.service.jobs import JobTable, generating_shard, request_fingerprint
+from repro.service.server import HttpRequest
 from tests.service.conftest import ServiceClient, make_app
 
 SET1 = ["Windows2003", "Solaris", "Debian", "OpenBSD"]
@@ -119,6 +122,44 @@ class TestIdempotentSubmission:
         )
 
 
+class TestJobIds:
+    """Generated ids name their worker; polls find the owner."""
+
+    def test_generated_ids_name_their_worker(self, dataset):
+        grid = ExperimentGrid(configurations={"Set1": SET1}, runs=2, horizon=1.0)
+        table = JobTable(lambda job: {"ok": True}, shard=3)
+        job = table.submit(grid, 7, "digest", fingerprint="f", dataset=dataset)
+        assert job.job_id == "job-3-1"
+        assert generating_shard(job.job_id) == 3
+        assert generating_shard("nightly") is None
+        assert generating_shard("job-1") is None
+        assert table.drain(grace=60.0) is True
+
+    def test_poll_for_a_job_on_a_gone_worker_is_404(self, corpus):
+        # Two peer URLs nobody listens on: shard 1 owns job-1-1 but is gone.
+        ports = []
+        for _ in range(2):
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                ports.append(sock.getsockname()[1])
+        app = make_app(
+            corpus, peers=tuple(f"http://127.0.0.1:{port}" for port in ports)
+        )
+        try:
+            for job_id in ("job-1-1", "job-0-1", "job-7-1"):
+                response = app.dispatch(
+                    HttpRequest(
+                        method="GET", path=f"/v1/jobs/{job_id}", query={},
+                        headers={},
+                    )
+                )
+                assert response.status == 404
+                error = json.loads(response.body)["error"]
+                assert error["detail"] == {"job_id": job_id}
+        finally:
+            app.shutdown()
+
+
 class TestValidation:
     def test_unknown_os_is_rejected(self, server):
         client, _app = server
@@ -192,18 +233,16 @@ class TestDrain:
 
     def test_generated_ids_skip_client_claimed_names(self, server):
         client, _app = server
-        claimed = client.post_json("/v1/simulations", {**REQUEST, "id": "job-1"})
+        claimed = client.post_json("/v1/simulations", {**REQUEST, "id": "job-0-1"})
         assert claimed.status == 202
         generated = client.post_json("/v1/simulations", {**REQUEST, "runs": 4})
         assert generated.status == 202
-        assert generated.json()["job_id"] != "job-1"
+        assert generated.json()["job_id"] == "job-0-2"
         listing = client.get("/v1/jobs").json()["jobs"]
         ids = [job["job_id"] for job in listing]
         assert len(ids) == len(set(ids)) == 2
 
     def test_finished_jobs_are_evicted_beyond_the_bound(self, dataset):
-        from repro.service.jobs import JobTable
-
         grid = ExperimentGrid(configurations={"Set1": SET1}, runs=2, horizon=1.0)
         table = JobTable(lambda job: {"ok": True}, max_jobs=2)
         jobs = [

@@ -1,10 +1,9 @@
 """Observability across the serving stack: /metrics, /v1/traces, healthz.
 
 In-process tests cover the single-worker surface (exposition validity,
-healthz/metrics agreement, trace-id adoption and echo) and the LocalPeer
-fleet (trace propagation through scatter-gather).  The cluster test spawns
-two real worker processes and follows one client-supplied trace id across
-the scatter hop, end to end.
+healthz/metrics agreement, trace-id adoption and echo).  The cluster test
+spawns two real worker processes and follows one client-supplied trace id
+across the metrics-gathering hop, end to end.
 """
 
 from __future__ import annotations
@@ -12,15 +11,8 @@ from __future__ import annotations
 import json
 import re
 
-import pytest
-
 from repro.obs import TRACE_HEADER, valid_trace_id
-from repro.service import (
-    ServiceCluster,
-    ServiceConfig,
-    StaticDatasetProvider,
-    local_shard_fleet,
-)
+from repro.service import ServiceCluster, ServiceConfig
 from repro.service.server import HttpRequest
 
 from tests.service.conftest import make_app
@@ -44,11 +36,6 @@ def _sample_value(text: str, prefix: str) -> float:
         if line.startswith(prefix):
             return float(line.rsplit(" ", 1)[1])
     raise AssertionError(f"no sample starting with {prefix!r} in exposition")
-
-
-@pytest.fixture()
-def provider(corpus):
-    return StaticDatasetProvider(corpus.entries, label="test corpus")
 
 
 class TestMetricsEndpoint:
@@ -166,27 +153,6 @@ class TestTraceEndpoint:
         assert "GET /healthz" in names
 
 
-class TestFleetTracePropagation:
-    def test_scatter_propagates_the_trace_id_to_peers(self, corpus, provider):
-        fleet = local_shard_fleet(ServiceConfig(), 3, provider=provider)
-        response = _get(
-            fleet[0], "/v1/matrix/pairs",
-            headers={TRACE_HEADER.lower(): "fleet-trace-1"},
-        )
-        assert response.status == 200
-        assert fleet[0].scatter_remote > 0
-
-        payload = json.loads(
-            _get(fleet[0], "/v1/traces", {"id": ("fleet-trace-1",)}).body
-        )
-        record_shards = {record["shard"] for record in payload["records"]}
-        assert 0 in record_shards and len(record_shards) >= 2
-        coordinator_spans = {
-            span["name"] for span in payload["spans"] if span["shard"] == 0
-        }
-        assert {"scatter", "merge"} <= coordinator_spans
-
-
 class TestClusterTracePropagation:
     def test_one_trace_spans_both_workers_end_to_end(self):
         import urllib.request
@@ -198,9 +164,9 @@ class TestClusterTracePropagation:
         cluster.start()
         try:
             first = cluster.internal_urls[0]
-            trace_id = "e2e-scatter-trace"
+            trace_id = "e2e-metrics-trace"
             request = urllib.request.Request(
-                first + "/v1/matrix/pairs",
+                first + "/metrics",
                 headers={TRACE_HEADER: trace_id},
             )
             with urllib.request.urlopen(request, timeout=60) as response:
@@ -215,8 +181,8 @@ class TestClusterTracePropagation:
             span_shards = {span["shard"] for span in payload["spans"]}
             assert span_shards == {0, 1}
             names = {span["name"] for span in payload["spans"]}
-            # Real sockets: both sides record a parse span; the coordinator
-            # adds the fan-out and merge.
-            assert {"parse", "scatter", "merge"} <= names
+            # Real sockets: both sides record a parse span; the scraped
+            # worker adds the gather over its peer.
+            assert {"parse", "metrics.gather"} <= names
         finally:
             cluster.stop()
