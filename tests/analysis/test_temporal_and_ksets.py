@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.dataset import VulnerabilityDataset
-from repro.analysis.ksets import KSetAnalysis
+from repro.analysis.ksets import KSetAnalysis, best_of, worst_of
 from repro.analysis.temporal import TemporalAnalysis
 from repro.core.enums import ComponentClass, OSFamily, ServerConfiguration
 from tests.conftest import make_entry
@@ -183,6 +183,19 @@ class TestKSets:
 
         families = {family_of(name) for name in worst[0][0]}
         assert len(families) < 4
+
+    def test_best_and_worst_break_ties_on_the_combination(self):
+        totals = {("c", "d"): 1, ("a", "b"): 1, ("b", "c"): 0, ("a", "c"): 2}
+        assert best_of(totals, 3) == [(("b", "c"), 0), (("a", "b"), 1), (("c", "d"), 1)]
+        assert worst_of(totals, 3) == [(("a", "c"), 2), (("a", "b"), 1), (("c", "d"), 1)]
+
+    def test_a_top_past_the_space_returns_every_combination(self, kset_dataset):
+        totals = KSetAnalysis(kset_dataset).per_combination_totals(3)
+        best = best_of(totals, len(totals) + 10)
+        worst = worst_of(totals, len(totals) + 10)
+        assert len(best) == len(worst) == len(totals)
+        assert best == sorted(totals.items(), key=lambda item: (item[1], item[0]))
+        assert worst == sorted(totals.items(), key=lambda item: (-item[1], item[0]))
 
     def test_special_cves_are_the_widest_on_corpus(self, valid_dataset):
         widest = KSetAnalysis(valid_dataset).widest(3)
