@@ -950,8 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=1,
         help="serving processes; N>1 runs an N-worker cluster behind one "
-        "port, each worker answering every query itself (also sizes each "
-        "worker's simulation-job pool; default: 1)",
+        "port, each worker answering every query itself and running its "
+        "simulation jobs inline (default: 1)",
     )
     serve_parser.add_argument(
         "--cache-size", type=int, default=256,

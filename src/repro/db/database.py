@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import sqlite3
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -224,7 +225,10 @@ class VulnerabilityDatabase:
 
         Digests missing from the stored rows (databases migrated from schema
         version 1) are backfilled on the fly, so the result is always
-        complete.
+        complete.  Inside a caller's transaction the backfill joins it and
+        the caller commits it (:meth:`SnapshotStore.commit
+        <repro.snapshots.store.SnapshotStore.commit>` holds the write lock
+        across this read); otherwise it commits here.
         """
         state: Dict[str, str] = {}
         missing: List[str] = []
@@ -240,7 +244,7 @@ class VulnerabilityDatabase:
                 entry.cve_id: entry_digest(entry)
                 for entry in self.load_entries(cve_ids=missing)
             }
-            with self._conn:
+            with nullcontext() if self._conn.in_transaction else self._conn:
                 for cve_id, digest in backfilled.items():
                     self._conn.execute(
                         "UPDATE vulnerability SET entry_digest = ? WHERE cve_id = ?",

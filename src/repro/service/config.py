@@ -29,8 +29,8 @@ class ServiceConfig:
     """Every knob of one ``repro serve`` instance.
 
     ``workers`` is the number of serving **processes** the deployment runs
-    (each also sizing the process pool its background simulation jobs fan
-    out to, via :class:`~repro.runner.runner.GridRunner`);
+    (background simulation jobs run inline in the worker that accepted
+    them, so N workers never fork N² job processes);
     ``request_threads`` sizes each worker's HTTP dispatch thread pool;
     ``cache_size`` caps the LRU response cache in entries; ``drain_grace``
     bounds how long a SIGTERM waits for running jobs before the loop
@@ -86,7 +86,7 @@ class ServiceConfig:
         if not 0 <= self.port <= 65535:
             raise ServiceConfigError(f"port {self.port} is outside 0-65535")
         if self.workers < 1:
-            raise ServiceConfigError("the job runner needs at least one worker")
+            raise ServiceConfigError("the deployment needs at least one worker process")
         if self.cache_size < 1:
             raise ServiceConfigError("the response cache needs at least one entry")
         if self.registry_size < 1:

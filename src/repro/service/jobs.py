@@ -2,9 +2,9 @@
 
 Long-running work (Monte-Carlo sweeps) never executes inside a request:
 ``POST /v1/simulations`` validates the grid, registers a :class:`Job` and
-returns ``202 Accepted`` with the job id; a worker thread then drives the
-PR-3 :class:`~repro.runner.runner.GridRunner` (which fans the grid out to
-its own process pool) and stores the deterministic
+returns ``202 Accepted`` with the job id; a worker thread then drives a
+:class:`~repro.runner.runner.GridRunner` inline, in the worker that
+accepted the job, and stores the deterministic
 :meth:`~repro.runner.runner.SweepReport.to_json_payload` as the job
 result.  Clients poll ``GET /v1/jobs/<id>`` through the
 ``queued -> running -> done | failed`` lifecycle.

@@ -5,10 +5,10 @@ answer from memory**.  Three pieces deliver it:
 
 * a *dataset provider* names the current dataset state cheaply
   (:class:`StaticDatasetProvider` for fixed entry sets,
-  :class:`SnapshotDatasetProvider` for a PR-4 snapshot store, where the
-  state is the ledger head's content digest -- one SQL row, no entry
-  loads) and materialises the entries only when a compile is actually
-  needed;
+  :class:`SnapshotDatasetProvider` for a snapshot store, where the state
+  is the ledger head's content digest -- one SQL row, read again only
+  after a commit, no entry loads) and materialises the entries only when
+  a compile is actually needed;
 * :class:`CorpusArtifacts` wraps one compiled
   :class:`~repro.analysis.dataset.VulnerabilityDataset` together with
   memoized derived artefacts (pair matrices, k-set totals, selectors,
@@ -108,11 +108,17 @@ class StaticDatasetProvider:
 class SnapshotDatasetProvider:
     """A PR-4 snapshot store: the state is the (pinned or head) ledger row.
 
-    Every call opens a fresh SQLite connection and closes it before
-    returning, so provider methods are safe from any thread -- the asyncio
-    loop, the request executor and the job workers never share a
-    connection.  ``current()`` reads one ledger row; entries are only
-    loaded (``load``) when the registry actually needs to compile.
+    ``current()`` reads through one reader connection per calling thread
+    (a SQLite connection belongs to the thread that opened it) and
+    resolves the head or pin again only when the reader's ``PRAGMA
+    data_version`` moves, which another connection's commit does -- an
+    ingest on this worker, another worker process, ``repro ingest``: the
+    ledger is read once per commit, not once per request.  The reader
+    never writes, since its own commits would not move its
+    ``data_version``.  ``load`` and ``store()`` read many pages, so they
+    open a fresh connection and close it before returning rather than
+    keep a page cache alive per thread; entries are only loaded when the
+    registry actually needs to compile.
     """
 
     def __init__(
@@ -128,6 +134,9 @@ class SnapshotDatasetProvider:
         self._db_path = str(db_path)
         self._pin = snapshot
         self._engine = engine
+        #: Per thread: ``store`` (the reader), ``version`` (its
+        #: ``data_version`` when ``state`` was resolved) and ``state``.
+        self._reader = threading.local()
 
     @property
     def source(self) -> str:
@@ -160,15 +169,29 @@ class SnapshotDatasetProvider:
             raise NotFound(str(error)) from error
 
     def current(self) -> DatasetState:
-        """The ledger row the server currently serves (head unless pinned)."""
+        """The ledger row the server currently serves (head unless pinned).
+
+        Resolved again only when the calling thread's reader has seen a
+        commit since the last resolution; a resolution that raises (an
+        empty ledger, an unknown pin) caches nothing.
+        """
         from repro.snapshots.store import SnapshotStore
 
-        database = self._open()
-        try:
-            record = self._resolve(SnapshotStore(database))
-        finally:
-            database.close()
-        return DatasetState(digest=record.digest, snapshot=record)
+        reader = self._reader
+        store = getattr(reader, "store", None)
+        if store is None:
+            store = reader.store = SnapshotStore(self._open())
+            reader.version = None
+        # Read before resolving: a commit landing in between then moves
+        # the version again and the next call resolves once more.
+        (version,) = store.database.connection.execute(
+            "PRAGMA data_version"
+        ).fetchone()
+        if version != reader.version:
+            record = self._resolve(store)
+            reader.state = DatasetState(digest=record.digest, snapshot=record)
+            reader.version = version
+        return reader.state
 
     def load(self, state: DatasetState) -> VulnerabilityDataset:
         from repro.snapshots.store import SnapshotStore

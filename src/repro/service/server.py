@@ -867,6 +867,9 @@ class DiversityService:
 
         The server's ``engine`` picks the query index; jobs always run the
         simulator's default engine, whose numbers every engine reproduces.
+        Jobs run inline (``workers=1``): ``config.workers`` counts serving
+        processes, and N workers each forking an N-process pool would run
+        N² processes.  The payload is the same for any worker count.
         """
         from repro.core.constants import OS_NAMES
 
@@ -877,7 +880,7 @@ class DiversityService:
         runner = GridRunner.for_dataset(
             job.dataset,
             seed=job.seed,
-            workers=self.config.workers,
+            workers=1,
             catalogued=catalogued,
             metrics=self.metrics,
         )

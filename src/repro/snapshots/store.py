@@ -173,25 +173,38 @@ class SnapshotStore:
         ``created`` pins the ledger timestamp (ISO-8601); it defaults to the
         current UTC time and is the store's only wall-clock seam -- it is
         recorded for provenance and never feeds digests.
+
+        The live-state read, the head read and the inserts run in one
+        transaction that takes SQLite's write lock first (``BEGIN
+        IMMEDIATE``), so concurrent commits -- from threads or from other
+        worker processes -- queue on the lock and chain one after another
+        instead of forking off one head.  A commit whose changes a
+        concurrent commit already captured returns that snapshot, as a
+        replayed delta does.
         """
-        live = self._db.live_state()
-        digest = dataset_digest(live)
-        head = self.head()
-        if head is not None and head.digest == digest:
-            return head
-        parent_state = self._state_at(head.snapshot_id) if head is not None else {}
-        added = sorted(set(live) - set(parent_state))
-        removed = sorted(set(parent_state) - set(live))
-        modified = sorted(
-            cve_id
-            for cve_id in set(live) & set(parent_state)
-            if live[cve_id] != parent_state[cve_id]
-        )
-        if created is None:
-            created = _dt.datetime.now(_dt.timezone.utc).isoformat(  # repro: noqa[DET002] -- the single sanctioned wall-clock seam; callers inject `created=` for reproducible ledgers
-                timespec="seconds"
-            )
+        # On exit the ``with`` block commits (ending the transaction on the
+        # no-op return too) or, on an exception, rolls back.
         with self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            live = self._db.live_state()
+            digest = dataset_digest(live)
+            head = self.head()
+            if head is not None and head.digest == digest:
+                return head
+            parent_state = (
+                self._state_at(head.snapshot_id) if head is not None else {}
+            )
+            added = sorted(set(live) - set(parent_state))
+            removed = sorted(set(parent_state) - set(live))
+            modified = sorted(
+                cve_id
+                for cve_id in set(live) & set(parent_state)
+                if live[cve_id] != parent_state[cve_id]
+            )
+            if created is None:
+                created = _dt.datetime.now(_dt.timezone.utc).isoformat(  # repro: noqa[DET002] -- the single sanctioned wall-clock seam; callers inject `created=` for reproducible ledgers
+                    timespec="seconds"
+                )
             cursor = self._conn.execute(
                 "INSERT INTO snapshot (digest, parent_digest, created, source,"
                 " entry_count, added, modified, removed)"

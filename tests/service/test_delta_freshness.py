@@ -12,10 +12,13 @@ the touched response-cache entries.
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.classify.filters import ServerConfigurationFilter
+from repro.core.constants import OS_NAMES
 from repro.core.enums import ServerConfiguration
 from repro.db.database import VulnerabilityDatabase
 from repro.db.ingest import IngestPipeline
@@ -133,6 +136,42 @@ class TestDeltaIngestOverHttp:
         ).json()
         assert second["modified"] == second["added"] == second["removed"] == 0
         assert second["snapshot"]["digest"] == first["snapshot"]["digest"]
+
+
+class TestConcurrentIngest:
+    def test_concurrent_deltas_keep_the_ledger_linear(
+        self, db_server, corpus, tmp_path
+    ):
+        # Eight deltas, each on a different OS, posted at once: every
+        # commit must chain off the one before it, never off a shared head.
+        client, _app, base = db_server
+        bodies = [
+            evolve_corpus(corpus, fraction=0.005, seed=300 + index, target_os=name)
+            .write_feed(tmp_path / f"delta-{index}.xml")
+            .read_bytes()
+            for index, name in enumerate(OS_NAMES[:8])
+        ]
+        start = threading.Barrier(len(bodies))
+
+        def post(body):
+            start.wait()
+            return client.request(
+                "POST", "/v1/ingest/delta",
+                headers={"Content-Type": "application/xml"}, body=body,
+            )
+
+        with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+            results = list(pool.map(post, bodies))
+        assert [result.status for result in results] == [200] * len(bodies)
+        ledger = client.get("/v1/snapshots").json()["snapshots"]
+        assert ledger[0]["digest"] == base.digest
+        assert len(ledger) > 1
+        for parent, child in zip(ledger, ledger[1:]):
+            assert child["parent_digest"] == parent["digest"], ledger
+        # Every answer names a snapshot of that one chain.
+        digests = {record["digest"] for record in ledger}
+        for result in results:
+            assert result.json()["snapshot"]["digest"] in digests
 
 
 class TestEtagFreshnessAcrossDeltas:

@@ -244,7 +244,9 @@ class TestDrain:
 
     def test_finished_jobs_are_evicted_beyond_the_bound(self, dataset):
         grid = ExperimentGrid(configurations={"Set1": SET1}, runs=2, horizon=1.0)
-        table = JobTable(lambda job: {"ok": True}, max_jobs=2)
+        # One executor thread finishes jobs in submission order; with two, a
+        # slow first job can outlive newer ones and rightly survive them.
+        table = JobTable(lambda job: {"ok": True}, executor_threads=1, max_jobs=2)
         jobs = [
             table.submit(grid, 7, "digest", fingerprint=str(index), dataset=dataset)
             for index in range(4)

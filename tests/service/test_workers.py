@@ -20,6 +20,7 @@ import pytest
 from repro.obs import TRACE_HEADER, MetricsRegistry
 from repro.service import ServiceConfig, schemas
 from repro.service.config import ServiceConfigError
+from repro.service import server as server_module
 from repro.service.server import HttpRequest
 
 from tests.service.conftest import make_app
@@ -231,6 +232,41 @@ class TestJobPollForwarding:
         app = workers(0, 0)
         assert app.peers == []
         assert _get(app, "/v1/jobs/job-1-4").status == 404
+
+
+class TestJobRunner:
+    def test_a_cluster_worker_runs_jobs_inline(self, corpus, monkeypatch):
+        # workers counts serving processes: a job pool of that size in
+        # every worker would fork workers² processes.
+        sizes = []
+        for_dataset = server_module.GridRunner.for_dataset
+
+        def recording(dataset, **kwargs):
+            sizes.append(kwargs["workers"])
+            return for_dataset(dataset, **kwargs)
+
+        monkeypatch.setattr(server_module.GridRunner, "for_dataset", recording)
+        app = make_app(corpus, workers=2, shard_index=0, peers=_peer_urls(2))
+        app.peers = [RecordingPeer(), RecordingPeer()]
+        body = {
+            "configurations": {"Set1": SET1}, "runs": 2, "horizon": 1.0,
+            "seed": 3,
+        }
+        try:
+            submitted = app.dispatch(
+                HttpRequest(
+                    method="POST", path="/v1/simulations", query={}, headers={},
+                    body=json.dumps(body).encode("utf-8"),
+                )
+            )
+            assert submitted.status == 202
+            assert app.jobs.drain(grace=60.0) is True
+            job_id = json.loads(submitted.body)["job_id"]
+            job = json.loads(_get(app, f"/v1/jobs/{job_id}").body)
+        finally:
+            app.shutdown()
+        assert job["state"] == "done", job
+        assert sizes == [1]
 
 
 def _peer_metrics(shard: int):

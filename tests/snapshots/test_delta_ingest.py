@@ -217,6 +217,26 @@ class TestSchemaMigration:
         ).fetchone()
         assert row["entry_digest"] == entry_digest(entry)
 
+    def test_a_backfill_joins_the_callers_transaction(self):
+        # SnapshotStore.commit reads the live state under the write lock;
+        # committing the backfill on its own would release the lock early.
+        database = VulnerabilityDatabase()
+        database.register_os_catalog()
+        entry = make_entry()
+        database.insert_entry(entry)
+        with database.connection:
+            database.connection.execute(
+                "UPDATE vulnerability SET entry_digest = NULL"
+            )
+        database.connection.execute("BEGIN IMMEDIATE")
+        assert database.live_state() == {entry.cve_id: entry_digest(entry)}
+        assert database.connection.in_transaction
+        database.connection.commit()
+        row = database.connection.execute(
+            "SELECT entry_digest FROM vulnerability"
+        ).fetchone()
+        assert row["entry_digest"] == entry_digest(entry)
+
 
 class TestLoadEntriesChunking:
     def test_large_cve_id_filters_are_chunked(self, monkeypatch):

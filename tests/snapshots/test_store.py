@@ -1,5 +1,7 @@
 """Snapshot ledger: commits, chaining, time travel, diffs, checkout."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.exceptions import DatabaseError
@@ -95,6 +97,62 @@ class TestCommit:
     def test_empty_store_has_no_head(self, store):
         assert store.head() is None
         assert store.list() == []
+
+
+class TestCommitTransaction:
+    """A commit reads and writes inside one write transaction."""
+
+    @pytest.fixture()
+    def ledger(self, tmp_path):
+        path = tmp_path / "ledger.db"
+        database = VulnerabilityDatabase(path)
+        database.register_os_catalog()
+        yield path, SnapshotStore(database)
+        database.close()
+
+    def test_the_live_state_is_read_under_the_write_lock(self, ledger, monkeypatch):
+        # Another connection (thread or worker process) cannot start a
+        # write between this commit's reads and its inserts.
+        path, store = ledger
+        _fill(store, make_entry("CVE-2005-0001"))
+        other = sqlite3.connect(str(path), timeout=0.05)
+        live_state = store.database.live_state
+
+        def contended():
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                other.execute("BEGIN IMMEDIATE")
+            return live_state()
+
+        monkeypatch.setattr(store.database, "live_state", contended)
+        assert store.commit().snapshot_id == 1
+        other.execute("BEGIN IMMEDIATE")  # released once the commit is done
+        other.rollback()
+        other.close()
+
+    def test_a_no_op_commit_ends_its_transaction(self, ledger):
+        _path, store = ledger
+        _fill(store, make_entry("CVE-2005-0001"))
+        head = store.commit()
+        assert store.commit() == head
+        assert not store.database.connection.in_transaction
+
+    def test_a_failed_commit_rolls_back_and_releases_the_lock(
+        self, ledger, monkeypatch
+    ):
+        path, store = ledger
+        _fill(store, make_entry("CVE-2005-0001"))
+
+        def fail(**_kwargs):
+            raise RuntimeError("payload load failed")
+
+        monkeypatch.setattr(store.database, "load_entries", fail)
+        with pytest.raises(RuntimeError):
+            store.commit()
+        assert not store.database.connection.in_transaction
+        assert store.head() is None  # the ledger row was rolled back
+        monkeypatch.undo()
+        with VulnerabilityDatabase(path) as other:
+            assert SnapshotStore(other).commit().snapshot_id == 1
 
 
 class TestTimeTravel:
