@@ -4,10 +4,9 @@ Every HTTP request the service dispatches gets a :class:`Trace` -- either
 joining the id a client (or a coordinating peer worker) supplied in the
 ``X-Repro-Trace`` header, or minting a fresh one.  Handlers hang
 :class:`Span` records off the active trace (``parse``, ``cache.lookup``,
-``registry.compile``, ``ingest.apply``, ``ingest.broadcast``,
-``metrics.gather``, ``jobs.forward``); finished traces land in a bounded
-ring buffer (``collections.deque(maxlen=...)``) queryable at
-``GET /v1/traces``.
+``registry.compile``, ``ingest.apply``, ``metrics.gather``,
+``jobs.forward``); finished traces land in a bounded ring buffer
+(``collections.deque(maxlen=...)``) queryable at ``GET /v1/traces``.
 
 Thread model: dispatch runs on a thread pool, so the "current trace" is
 ``threading.local`` per :class:`Tracer` (contextvars do not survive

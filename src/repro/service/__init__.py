@@ -18,8 +18,8 @@ memory**:
   :class:`~repro.service.server.ServiceServer`;
 * :mod:`repro.service.cluster` -- the multi-process deployment
   (``--workers N``: ``SO_REUSEPORT`` or front-router; every worker answers
-  matrix queries itself, and the internal listeners carry cross-process
-  cache invalidation, metric and trace gathering and job-poll
+  matrix queries itself and reads deltas from the shared ledger, and the
+  internal listeners carry metric and trace gathering and job-poll
   forwarding);
 * :mod:`repro.service.routing` / :mod:`~repro.service.schemas` /
   :mod:`~repro.service.errors` / :mod:`~repro.service.config` -- routing,

@@ -10,11 +10,10 @@ request path and its canonicalised query string.  Two consequences:
   ``If-None-Match`` revalidation keeps answering ``304`` across unrelated
   deltas without the server recomputing anything;
 * a delta that *does* touch the scope changes the key, so the stale entry
-  can never be served again (it ages out of the LRU); explicit per-scope
-  invalidation (:meth:`ResponseCache.invalidate_scope`, wired to
-  :meth:`repro.snapshots.delta.DeltaIngestPipeline.subscribe`) evicts such
-  entries eagerly when a delta lands in-process instead of waiting for
-  LRU pressure.
+  can never be served again (it ages out of the LRU).  The worker that
+  ingests the delta also evicts such entries at once through
+  :meth:`ResponseCache.invalidate_scope`; every other worker only sees
+  the new keys and leaves its dead entries to LRU pressure.
 
 ETags are **weak** (``W/"<hex>"``): the hex prefix of a sha256 over the same
 key material that addresses the cache entry.  They cannot be strong, because

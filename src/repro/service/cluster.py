@@ -12,9 +12,9 @@ deployment:
   forces it), a tiny stdlib asyncio TCP proxy in the parent process
   round-robins connections to the workers instead.
 * **internal listeners** -- every worker also binds a private per-worker
-  port.  Cross-process cache invalidation, metric and trace gathering,
-  job polls forwarded to the worker that owns the job, and per-worker
-  health checks travel over these; the public address never routes them.
+  port.  Metric and trace gathering, job polls forwarded to the worker
+  that owns the job, and per-worker health checks travel over these; the
+  public address never routes them.
 * **per-worker config** -- the deployment config is specialised per
   worker (``shard_index=i``, ``peers=<internal URLs>``).
 
@@ -26,9 +26,10 @@ so the query is never split across workers.
 Workers rebuild their dataset from the config alone (a ``--db`` ledger
 path, a ``--catalogue`` spec, or the seeded synthetic corpus), so the
 spawn boundary never pickles datasets -- and a shared SQLite ledger is
-the single source of truth every worker re-reads per request, which is
-why a worker that misses an invalidation broadcast still answers with
-fresh digests.
+the single source of truth.  No worker tells another about a delta: each
+request thread resolves the ledger head again once SQLite's ``PRAGMA
+data_version`` shows a commit, so a delta ingested on any worker changes
+the touched scopes' digests (and ETags) on every worker.
 
 :class:`ServiceCluster` is the test/benchmark harness (start/stop from
 any thread); :func:`serve_cluster` is the blocking CLI entry point with
@@ -64,7 +65,7 @@ def reuseport_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# peer clients (duck-typed: get_json / post_json)
+# peer clients (duck-typed: get_json)
 # ---------------------------------------------------------------------------
 
 
@@ -87,40 +88,21 @@ class HttpPeer:
         self._port = parts.port
         self._timeout = timeout
 
-    def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, bytes]:
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout
-        )
-        try:
-            sent = {"Content-Type": "application/json"} if body else {}
-            sent.update(headers or {})
-            connection.request(method, path, body=body, headers=sent)
-            response = connection.getresponse()
-            return response.status, response.read()
-        finally:
-            connection.close()
-
     def get_json(
         self, path: str, headers: Optional[Dict[str, str]] = None
     ) -> Optional[Dict[str, object]]:
         """GET a JSON payload; ``None`` on any non-200 answer."""
-        status, body = self._request("GET", path, None, headers)
-        if status != 200:
-            return None
-        return json.loads(body)
-
-    def post_json(
-        self, path: str, body: bytes, headers: Optional[Dict[str, str]] = None
-    ) -> int:
-        """POST a JSON body; returns the response status."""
-        status, _body = self._request("POST", path, body, headers)
-        return status
+        connection = http.client.HTTPConnection(
+            self._host, self._port, timeout=self._timeout
+        )
+        try:
+            connection.request("GET", path, headers=headers or {})
+            response = connection.getresponse()
+            if response.status != 200:
+                return None
+            return json.loads(response.read())
+        finally:
+            connection.close()
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ class ServiceConfig:
     :mod:`repro.service.cluster` when it derives one per-worker config from
     the deployment config: ``peers`` lists every worker's internal base URL
     and ``shard_index`` is this worker's position in it.  The peers carry
-    cross-process cache invalidation, metric and trace gathering and
-    job-poll forwarding; every worker answers matrix queries itself.  A
-    standalone server has no peers and index 0.
+    metric and trace gathering and job-poll forwarding; every worker
+    answers matrix queries itself and learns of deltas from the shared
+    ledger.  A standalone server has no peers and index 0.
     """
 
     host: str = "127.0.0.1"
@@ -55,9 +55,6 @@ class ServiceConfig:
     snapshot: Optional[str] = None
     feeds: Optional[str] = None
     drain_grace: float = 10.0
-    #: Datasets kept compiled in the artifact registry at once (the current
-    #: head plus a few recent snapshots during rolling deltas).
-    registry_size: int = 4
     #: Threads per worker that run ``dispatch`` off the event loop.
     request_threads: int = 8
     #: Serve a generated catalogue instead of the calibrated corpus
@@ -89,8 +86,6 @@ class ServiceConfig:
             raise ServiceConfigError("the deployment needs at least one worker process")
         if self.cache_size < 1:
             raise ServiceConfigError("the response cache needs at least one entry")
-        if self.registry_size < 1:
-            raise ServiceConfigError("the registry must hold at least one dataset")
         if self.engine not in ENGINES:
             raise ServiceConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"

@@ -104,6 +104,17 @@ class Draining(ApiError):
     code = "draining"
 
 
+class Busy(ApiError):
+    """The snapshot ledger's write lock stayed taken (HTTP 503).
+
+    Raised when a delta ingest waited out SQLite's busy timeout (5 s)
+    behind another writer.  The response carries ``Retry-After: 1``.
+    """
+
+    status = 503
+    code = "busy"
+
+
 def internal_error(message: str = "internal server error") -> ApiError:
     """An anonymised 500 envelope (handler tracebacks never leak to clients)."""
     return ApiError(message)

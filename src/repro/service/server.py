@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import signal
+import sqlite3
 import sys
 import tempfile
 import threading
@@ -75,6 +76,7 @@ from repro.service.config import ServiceConfig
 from repro.service.errors import (
     ApiError,
     BadRequest,
+    Busy,
     Conflict,
     NotFound,
     NotImplementedFeature,
@@ -189,7 +191,6 @@ class DiversityService:
             sink=trace_sink(self.obs_log) if config.trace_log else None,
         )
         self.registry = ArtifactRegistry(
-            max_datasets=config.registry_size,
             metrics=self.metrics,
             tracer=self.tracer,
             clock=self.clock,
@@ -213,11 +214,6 @@ class DiversityService:
             "Request dispatch wall time, by route template.",
             labels=("route",),
         )
-        self._broadcast_counter = self.metrics.counter(
-            "invalidation_broadcasts_total",
-            "Invalidation broadcast deliveries to peer workers.",
-            labels=("outcome",),
-        )
         self._uptime_gauge = self.metrics.gauge(
             "uptime_seconds", "Seconds since this worker started."
         )
@@ -234,7 +230,6 @@ class DiversityService:
         )
         self.router = Router()
         add = self.router.add
-        add("POST", "/internal/v1/invalidate", self._internal_invalidate)
         add("GET", "/internal/v1/metrics", self._internal_metrics)
         add("GET", "/internal/v1/traces", self._internal_traces)
         add("GET", "/healthz", self._healthz)
@@ -280,8 +275,9 @@ class DiversityService:
     def _resolve_peers(self):
         """Clients for every worker's internal listener, indexed by shard.
 
-        Invalidation broadcasts, metric and trace gathering and job-poll
-        forwarding fan out over these; a standalone worker has none.
+        Metric and trace gathering and job-poll forwarding fan out over
+        these; a standalone worker has none.  Deltas need no peer call:
+        every worker reads the new head from the shared ledger.
         """
         if not self.config.peers:
             return []
@@ -303,11 +299,11 @@ class DiversityService:
 
         Every dispatch runs under a :class:`~repro.obs.tracing.Trace` --
         joining the id an ``X-Repro-Trace`` header carries (how a peer
-        worker's spans for a broadcast, a gather or a forwarded job poll
-        land in the caller's trace) or minting a fresh one -- and
-        increments the request counter labelled by the matched route
-        *template*, so metric cardinality stays bounded no matter what
-        paths clients probe.
+        worker's spans for a gather or a forwarded job poll land in the
+        caller's trace) or minting a fresh one -- and increments the
+        request counter labelled by the matched route *template*, so
+        metric cardinality stays bounded no matter what paths clients
+        probe.
         """
         trace = self.tracer.begin(
             f"{request.method} {request.path}",
@@ -364,6 +360,8 @@ class DiversityService:
         response = HttpResponse(status=error.status, body=schemas.dumps(error.envelope()))
         if error.detail and "allow" in error.detail:
             response.headers["Allow"] = ", ".join(error.detail["allow"])
+        if isinstance(error, Busy):
+            response.headers["Retry-After"] = "1"
         return response
 
     def _cached_json(
@@ -728,7 +726,6 @@ class DiversityService:
                 tracer=self.tracer,
                 clock=self.clock,
             )
-            pipeline.subscribe(self._on_delta_snapshot)
             with tempfile.NamedTemporaryFile(
                 suffix=suffix, prefix="repro-delta-", delete=False
             ) as handle:
@@ -739,6 +736,8 @@ class DiversityService:
                 report = pipeline.apply_feed(feed_path, source=source)
             finally:
                 feed_path.unlink(missing_ok=True)
+            if report.changed:
+                self._evict_delta(store, report.snapshot)
             payload = {
                 "parsed_entries": report.parsed_entries,
                 "added": report.added,
@@ -752,113 +751,46 @@ class DiversityService:
                     else None
                 ),
             }
+        except sqlite3.OperationalError as error:
+            # SQLITE_BUSY: another writer held the ledger's write lock for
+            # the whole busy timeout.  No snapshot was cut; rows already
+            # upserted read as unchanged when the delta is retried.
+            if str(error) != "database is locked":
+                raise
+            raise Busy(
+                "the snapshot ledger is locked by another writer; "
+                "no snapshot was cut, retry the delta"
+            ) from error
         finally:
             database.close()
         return HttpResponse(body=schemas.dumps(payload))
 
-    def _on_delta_snapshot(self, report) -> None:
-        """Invalidate cached responses a freshly-landed delta can touch.
+    def _evict_delta(self, store, snapshot) -> None:
+        """Evict this worker's cached responses that ``snapshot`` touched.
 
-        Subscribed to the :class:`~repro.snapshots.delta
-        .DeltaIngestPipeline` so any in-process delta (the HTTP ingest
-        endpoint, or library code sharing this service's store) evicts
-        exactly the response-cache entries whose OS scope the snapshot
-        diff names, then extends the same subscription across process
-        boundaries by broadcasting the digest pair to every peer worker's
-        ``/internal/v1/invalidate``.  A worker that misses the broadcast
-        stays correct: the shared ledger is the source of truth, so its
-        next request reads the new head digest and scoped keys miss
-        naturally -- the broadcast only makes eviction (and the packed-
-        engine registry patch below) eager instead of lazy.
+        Drops exactly the response-cache entries whose OS scope the diff
+        from the snapshot's parent names (every entry on a first
+        snapshot).  On the ``packed`` engine the same diff also *warms*
+        the registry: :meth:`~repro.service.registry.ArtifactRegistry
+        .patch` derives the new head's index from the parent's by
+        patching only the touched entry columns, so the first request
+        against the new digest skips the full corpus recompile.  Other
+        workers learn of the commit from the ledger alone: their next
+        ``current()`` resolves the new head, the touched scopes' digests
+        -- and so their cache keys and ETags -- change, and the dead
+        entries age out of their LRU.
         """
-        snapshot = getattr(report, "snapshot", None)
-        if snapshot is None or report.changed == 0:
-            return
-        self._apply_delta_invalidation(snapshot.parent_digest, snapshot.digest)
-        self._broadcast_invalidation(snapshot.parent_digest, snapshot.digest)
-
-    def _apply_delta_invalidation(
-        self, parent_digest: Optional[str], digest: str
-    ) -> int:
-        """Evict scoped caches for the ledger transition ``parent -> digest``.
-
-        Returns how many response-cache entries were evicted.  On the
-        ``packed`` engine the same diff also *warms* the registry:
-        :meth:`~repro.service.registry.ArtifactRegistry.patch` derives the
-        new head's index from the parent's by patching only the touched
-        entry columns, so the first request against the new digest skips
-        the full corpus recompile.
-        """
-        if parent_digest is None:
-            evicted = self.responses.stats()["entries"]
+        if snapshot.parent_digest is None:
             self.responses.clear()
-            return evicted
-        database, store = self.provider.store()
-        try:
-            parent = store.by_digest(parent_digest)
-            snapshot = store.by_digest(digest)
-            diff = store.diff(parent.snapshot_id, snapshot.snapshot_id)
-            evicted = self.responses.invalidate_scope(diff.affected_os_names())
-            self.registry.patch(
-                DatasetState(digest=parent.digest, snapshot=parent),
-                DatasetState(
-                    digest=diff.to_snapshot.digest, snapshot=diff.to_snapshot
-                ),
-                diff,
-            )
-        finally:
-            database.close()
-        return evicted
-
-    def _broadcast_invalidation(
-        self, parent_digest: Optional[str], digest: str
-    ) -> None:
-        """Tell every peer worker about a landed snapshot, synchronously.
-
-        Runs before the ingest response is written, so by the time the
-        client sees the new snapshot digest every worker has already
-        dropped the scoped entries (and their ETags) the delta touched --
-        the zero-stale-reads discipline the bench gate measures.  Peer
-        failures are swallowed: the ledger re-read keeps them correct.
-        """
-        payload = schemas.dumps(
-            {"parent_digest": parent_digest, "digest": digest}
+            return
+        parent = store.by_digest(snapshot.parent_digest)
+        diff = store.diff(parent.snapshot_id, snapshot.snapshot_id)
+        self.responses.invalidate_scope(diff.affected_os_names())
+        self.registry.patch(
+            DatasetState(digest=parent.digest, snapshot=parent),
+            DatasetState(digest=snapshot.digest, snapshot=snapshot),
+            diff,
         )
-        trace = self.tracer.current()
-        headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
-        with self.tracer.span(
-            "ingest.broadcast", trace=trace, peers=len(self.peers)
-        ):
-            for index, peer in enumerate(self.peers):
-                if index == self.config.shard_index:
-                    continue
-                try:
-                    peer.post_json(
-                        "/internal/v1/invalidate", payload, headers=headers
-                    )
-                    self._broadcast_counter.inc(outcome="delivered")
-                except Exception:  # repro: noqa[GEN301] -- a dead peer re-reads the ledger on its next request
-                    self._broadcast_counter.inc(outcome="failed")
-                    continue
-
-    # -- internal cluster handlers --------------------------------------------
-
-    def _internal_invalidate(self, request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
-        payload = schemas.parse_json_body(request.body)
-        digest = payload.get("digest")
-        if not isinstance(digest, str) or not digest:
-            raise BadRequest(
-                "field 'digest' must be a snapshot digest",
-                detail={"field": "digest"},
-            )
-        parent = payload.get("parent_digest")
-        if parent is not None and not isinstance(parent, str):
-            raise BadRequest(
-                "field 'parent_digest' must be a digest or null",
-                detail={"field": "parent_digest"},
-            )
-        evicted = self._apply_delta_invalidation(parent, digest)
-        return HttpResponse(body=schemas.dumps({"digest": digest, "evicted": evicted}))
 
     # -- job handlers ---------------------------------------------------------
 

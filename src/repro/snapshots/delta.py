@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.db.ingest import IngestPipeline
 from repro.nvd.feed_parser import RawFeedEntry, parse_xml_feed
@@ -82,7 +82,6 @@ class DeltaIngestPipeline:
         self.pipeline = pipeline
         self.database = pipeline.database
         self.store = store or SnapshotStore(self.database)
-        self._subscribers: List[Callable[[DeltaReport], None]] = []
         # Observability only: apply latency, blast-radius size and a delta
         # counter.  Reports stay byte-identical whether or not a shared
         # registry is wired in.
@@ -104,19 +103,6 @@ class DeltaIngestPipeline:
             labels=("outcome",),
         )
 
-    def subscribe(self, callback: Callable[[DeltaReport], None]) -> None:
-        """Register a callback invoked after each delta that cut a snapshot.
-
-        The callback receives the :class:`DeltaReport` (whose ``snapshot``
-        is the freshly-committed ledger record) synchronously, before
-        :meth:`apply_raw` returns.  Long-lived consumers -- the serving
-        layer's response cache -- use it to invalidate exactly the state a
-        delta's blast radius can touch.  Deltas that change nothing (a
-        replayed feed) still notify, letting subscribers observe the
-        no-op; ``commit=False`` applications never do.
-        """
-        self._subscribers.append(callback)
-
     # -- application ------------------------------------------------------------
 
     def apply_raw(
@@ -133,6 +119,9 @@ class DeltaIngestPipeline:
         cut (callers batching several deltas commit once at the end).
         ``created`` pins the committed snapshot's ledger timestamp (see
         :meth:`SnapshotStore.commit`); omitted, the store stamps it.
+        The report's ``snapshot`` is the committed ledger record; a
+        long-lived consumer (the serving layer's response cache) evicts
+        what its diff from the parent touches once this returns.
         """
         started = self._clock.perf()
         report = DeltaReport(parsed_entries=len(raw_entries))
@@ -166,9 +155,6 @@ class DeltaIngestPipeline:
                     elapsed,
                     {"changed": str(report.changed), "source": source},
                 )
-        if commit:
-            for callback in self._subscribers:
-                callback(report)
         return report
 
     def _apply_one(self, raw: RawFeedEntry) -> str:

@@ -3,15 +3,15 @@
 The tentpole cache property, end to end: a server over a PR-4 snapshot
 store keeps answering -- without a restart -- while deltas land.  A delta
 that touches a query's OSes makes its old ETag stale (full fresh response);
-a delta that does not leaves the ETag valid (``304`` keeps working); and
-the per-scope invalidation wired to
-:meth:`~repro.snapshots.delta.DeltaIngestPipeline.subscribe` evicts exactly
-the touched response-cache entries.
+a delta that does not leaves the ETag valid (``304`` keeps working); the
+ingesting server evicts exactly the touched response-cache entries; and a
+delta that waits out the ledger's write lock answers ``503 busy``.
 """
 
 from __future__ import annotations
 
-import json
+import functools
+import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,10 +29,11 @@ from repro.service import (
     SnapshotDatasetProvider,
 )
 from repro.service.server import HttpRequest
+from repro.snapshots.delta import DeltaIngestPipeline
 from repro.snapshots.store import SnapshotStore
 from repro.synthetic.evolution import evolve_corpus
 
-from tests.service.conftest import ServiceClient, make_app
+from tests.service.conftest import ServiceClient
 
 WINDOWS = {"Windows2000", "Windows2003", "Windows2008"}
 
@@ -248,7 +249,7 @@ class TestEtagFreshnessAcrossDeltas:
         finally:
             fresh.shutdown()
 
-    def test_subscription_invalidates_only_touched_cache_entries(
+    def test_ingest_evicts_only_touched_cache_entries(
         self, db_server, corpus, tmp_path
     ):
         client, app, _base = db_server
@@ -264,8 +265,9 @@ class TestEtagFreshnessAcrossDeltas:
             headers={"Content-Type": "application/xml"},
             body=feed.read_bytes(),
         )
-        # The Debian-scoped entry and the global matrix were evicted by the
-        # DeltaIngestPipeline subscription; the Windows entry survived.
+        # The ingest handler evicted the Debian-scoped entry and the global
+        # matrix by the snapshot diff's blast radius; the Windows entry
+        # survived.
         assert len(app.responses) == 1
         assert app.responses.invalidations == 2
 
@@ -284,13 +286,57 @@ class TestEtagFreshnessAcrossDeltas:
         assert len(app.registry) == 2  # the old snapshot stays pinnable
 
 
-class TestInternalInvalidate:
-    def test_invalidate_rejects_bad_bodies(self, corpus):
-        app = make_app(corpus)
-        result = app.dispatch(
-            HttpRequest(
-                method="POST", path="/internal/v1/invalidate", query={},
-                headers={}, body=json.dumps({"digest": 7}).encode(),
-            )
+class TestBusyLedger:
+    def test_a_delta_behind_the_write_lock_is_a_503_then_lands(
+        self, db_server, corpus, tmp_path, monkeypatch
+    ):
+        client, app, base = db_server
+        # Shorten sqlite3's 5 s busy wait so the ingest gives up quickly.
+        monkeypatch.setattr(
+            sqlite3, "connect", functools.partial(sqlite3.connect, timeout=0.2)
         )
-        assert result.status == 400
+        body = _debian_delta(corpus).write_feed(tmp_path / "delta.xml").read_bytes()
+
+        def post():
+            return client.request(
+                "POST", "/v1/ingest/delta",
+                headers={"Content-Type": "application/xml"}, body=body,
+            )
+
+        holder = sqlite3.connect(app.config.db, isolation_level=None)
+        try:
+            holder.execute("BEGIN IMMEDIATE")
+            blocked = post()
+            holder.execute("ROLLBACK")
+        finally:
+            holder.close()
+        assert blocked.status == 503
+        assert blocked.headers["Retry-After"] == "1"
+        error = blocked.json()["error"]
+        assert (error["code"], error["status"]) == ("busy", 503)
+
+        retried = post()
+        assert retried.status == 200, retried.body
+        assert retried.json()["snapshot"]["parent_digest"] == base.digest
+        ledger = client.get("/v1/snapshots").json()["snapshots"]
+        assert [record["parent_digest"] for record in ledger] == [
+            None, base.digest
+        ]
+
+    def test_any_other_sqlite_error_stays_a_500(
+        self, db_server, corpus, tmp_path, monkeypatch
+    ):
+        client, _app, _base = db_server
+
+        def broken(self, path, **kwargs):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(DeltaIngestPipeline, "apply_feed", broken)
+        body = _debian_delta(corpus).write_feed(tmp_path / "delta.xml").read_bytes()
+        result = client.request(
+            "POST", "/v1/ingest/delta",
+            headers={"Content-Type": "application/xml"}, body=body,
+        )
+        assert result.status == 500
+        assert result.json()["error"]["code"] == "internal_error"
+        assert "Retry-After" not in result.headers

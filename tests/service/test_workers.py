@@ -3,8 +3,9 @@
 A worker answers every matrix query itself -- so each worker of an
 N-worker fleet returns the bytes (and ETags) a single process returns,
 without ever asking a peer -- and uses its peers only for the cluster
-chores: invalidation broadcasts, metric gathering and forwarding a job
-poll to the worker that generated the id.  Peers here are recording
+chores: metric gathering and forwarding a job poll to the worker that
+generated the id.  A delta needs no peer call at all: workers over one
+ledger learn of it from the ledger head.  Peers here are recording
 stand-ins for the internal listeners, so every call a worker makes to
 them is visible to the test; the live-process paths are covered by
 ``test_cluster.py``.
@@ -17,19 +18,32 @@ import re
 
 import pytest
 
+from repro.db.database import VulnerabilityDatabase
+from repro.db.ingest import IngestPipeline
 from repro.obs import TRACE_HEADER, MetricsRegistry
-from repro.service import ServiceConfig, schemas
+from repro.service import (
+    DiversityService,
+    ServiceConfig,
+    SnapshotDatasetProvider,
+    schemas,
+)
 from repro.service.config import ServiceConfigError
 from repro.service import server as server_module
 from repro.service.server import HttpRequest
+from repro.snapshots.store import SnapshotStore
 
 from tests.service.conftest import make_app
+from tests.service.test_delta_freshness import _debian_delta
 
 SET1 = ["Windows2003", "Solaris", "Debian", "OpenBSD"]
 
 
 class RecordingPeer:
-    """A peer's internal listener: canned GET answers, every call recorded."""
+    """A peer's internal listener: canned GET answers, every call recorded.
+
+    A call through any other client method is recorded under the
+    method's name, so a test that expects no peer traffic sees any.
+    """
 
     def __init__(self, answers=None, down: bool = False) -> None:
         self.answers = dict(answers or {})
@@ -42,11 +56,14 @@ class RecordingPeer:
             raise OSError("connection refused")
         return self.answers.get(path)
 
-    def post_json(self, path, body, headers=None):
-        self.calls.append(("POST", path, headers))
-        if self.down:
-            raise OSError("connection refused")
-        return 200
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+
+        def call(path, *args, headers=None, **kwargs):
+            self.calls.append((name, path, headers))
+
+        return call
 
 
 def _peer_urls(count: int):
@@ -65,13 +82,20 @@ def _get(app, path, query=None, headers=None):
 def workers(corpus):
     """Build worker ``index`` of a ``count``-worker fleet with recording peers.
 
-    ``count=0`` builds a standalone server.  Every app built is shut down
-    (and its job table drained) on teardown.
+    ``count=0`` builds a standalone server.  With ``db`` the worker serves
+    that snapshot ledger, otherwise the session corpus.  Every app built
+    is shut down (and its job table drained) on teardown.
     """
     built = []
 
-    def build(index: int, count: int, **peers: RecordingPeer):
-        app = make_app(corpus, shard_index=index, peers=_peer_urls(count))
+    def build(index: int, count: int, db=None, **peers: RecordingPeer):
+        if db is None:
+            app = make_app(corpus, shard_index=index, peers=_peer_urls(count))
+        else:
+            app = DiversityService(
+                ServiceConfig(db=db, shard_index=index, peers=_peer_urls(count)),
+                SnapshotDatasetProvider(db),
+            )
         app.peers = [
             peers.get(f"peer{position}", RecordingPeer())
             for position in range(count)
@@ -315,23 +339,65 @@ class TestMetricsGathering:
         assert _peer_calls(app) == []
 
 
-class TestInvalidationBroadcast:
-    def test_a_broadcast_reaches_every_other_worker(self, workers):
-        app = workers(1, 3)
-        app._broadcast_invalidation("parent-digest", "head-digest")
-        assert [call[:2] for call in app.peers[0].calls] == [
-            ("POST", "/internal/v1/invalidate")
-        ]
-        assert app.peers[1].calls == []
-        assert [call[:2] for call in app.peers[2].calls] == [
-            ("POST", "/internal/v1/invalidate")
-        ]
-        text = app.metrics.render()
-        assert 'repro_invalidation_broadcasts_total{outcome="delivered"} 2' in text
+@pytest.fixture()
+def ledger(corpus, tmp_path):
+    """A snapshot ledger whose one snapshot holds the session corpus."""
+    db_path = tmp_path / "serve.db"
+    database = VulnerabilityDatabase(db_path)
+    IngestPipeline(database=database).ingest_raw(corpus.to_raw_feed_entries())
+    SnapshotStore(database).commit(source="full ingest")
+    database.close()
+    return str(db_path)
 
-    def test_a_dead_peer_counts_as_a_failed_delivery(self, workers):
-        app = workers(0, 3, peer2=RecordingPeer(down=True))
-        app._broadcast_invalidation(None, "head-digest")
-        text = app.metrics.render()
-        assert 'repro_invalidation_broadcasts_total{outcome="delivered"} 1' in text
-        assert 'repro_invalidation_broadcasts_total{outcome="failed"} 1' in text
+
+class TestLedgerOnlyFreshness:
+    """Workers over one ledger learn of a delta from the ledger alone."""
+
+    DEBIAN = {"os": ("Debian,OpenBSD",)}
+    WINDOWS = {"os": ("Windows2000,Windows2003",)}
+
+    def test_a_worker_that_heard_nothing_answers_the_new_head(
+        self, workers, ledger, corpus, tmp_path
+    ):
+        ingesting, other = workers(0, 2, db=ledger), workers(1, 2, db=ledger)
+        debian = _get(other, "/v1/shared", self.DEBIAN)
+        windows = _get(other, "/v1/shared", self.WINDOWS)
+        assert debian.status == windows.status == 200
+
+        feed = _debian_delta(corpus).write_feed(tmp_path / "delta.xml")
+        ingested = ingesting.dispatch(
+            HttpRequest(
+                method="POST", path="/v1/ingest/delta", query={}, headers={},
+                body=feed.read_bytes(),
+            )
+        )
+        assert ingested.status == 200, ingested.body
+        head = json.loads(ingested.body)["snapshot"]
+        assert _peer_calls(ingesting) == []
+
+        # The touched scope's digest moved with the head, so the old ETag
+        # misses; the untouched scope keeps its digest and revalidates.
+        fresh = _get(
+            other, "/v1/shared", self.DEBIAN,
+            headers={"if-none-match": debian.headers["ETag"]},
+        )
+        assert fresh.status == 200
+        assert fresh.headers["ETag"] != debian.headers["ETag"]
+        assert json.loads(fresh.body)["dataset"]["snapshot_id"] == head["snapshot_id"]
+        revalidated = _get(
+            other, "/v1/shared", self.WINDOWS,
+            headers={"if-none-match": windows.headers["ETag"]},
+        )
+        assert revalidated.status == 304
+        assert other.responses.invalidations == 0
+        assert _peer_calls(other) == []
+
+    def test_no_worker_serves_an_invalidate_route(self, workers):
+        app = workers(0, 2)
+        response = app.dispatch(
+            HttpRequest(
+                method="POST", path="/internal/v1/invalidate", query={},
+                headers={}, body=b'{"digest": "d"}',
+            )
+        )
+        assert response.status == 404
