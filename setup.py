@@ -1,8 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point and the package metadata.
 
-The pyproject.toml [project] table carries the canonical metadata; this file
-exists so that ``pip install -e .`` works in offline environments whose
-setuptools lacks PEP 660 editable-wheel support (no ``wheel`` package).
+numpy and networkx are required: networkx backs the ``graph`` replica-set
+selection strategy (``GET /v1/selection?strategy=graph``).  scipy is the
+optional ``fit`` extra (``pip install .[fit]``): only the Alhazmi-Malaiya
+logistic fit, ``DiscoveryModelAnalysis.fit_logistic``, imports it.
 """
 
 from setuptools import find_packages, setup
@@ -18,4 +19,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.20", "networkx>=2.6"],
+    extras_require={"fit": ["scipy"]},
 )

@@ -38,75 +38,73 @@ Quickstart
 >>> shared = analysis.shared_matrix(ServerConfiguration.ISOLATED_THIN)
 >>> shared[("Debian", "Windows2003")]
 0
+
+The public names in ``__all__`` are re-exported from their subpackages
+lazily, on first access (PEP 562), as :mod:`repro.snapshots` does.
+Python runs this file before any ``repro.*`` module, so eager re-exports
+would load every subpackage -- the asyncio server and cluster of
+:mod:`repro.service` included -- into every CLI command, sweep pool worker
+and cluster worker.  Lazily, each process loads only what it uses.
 """
 
-from repro.analysis import (
-    KSetAnalysis,
-    PairAnalysis,
-    PeriodAnalysis,
-    ReleaseDiversityAnalysis,
-    ReplicaSetSelector,
-    TemporalAnalysis,
-    VulnerabilityDataset,
-    summary_findings,
-)
-from repro.classify import ComponentClassifier, ValidityFilter
-from repro.core import (
-    AccessVector,
-    ComponentClass,
-    OSFamily,
-    OS_NAMES,
-    ServerConfiguration,
-    ValidityStatus,
-    VulnerabilityEntry,
-)
-from repro.db import IngestPipeline, VulnerabilityDatabase
-from repro.itsys import BFTService, CompromiseSimulation, ReplicaGroup
-from repro.reports import run_experiment
-from repro.service import DiversityService, ServiceConfig, serve
-from repro.snapshots import DeltaIngestPipeline, SnapshotStore
-from repro.synthetic import SyntheticCorpus, build_corpus, evolve_corpus
+from __future__ import annotations
+
+import importlib
+from typing import List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
     # corpus
-    "build_corpus",
-    "SyntheticCorpus",
+    "build_corpus": "repro.synthetic",
+    "SyntheticCorpus": "repro.synthetic",
     # core vocabulary
-    "VulnerabilityEntry",
-    "ComponentClass",
-    "AccessVector",
-    "ServerConfiguration",
-    "ValidityStatus",
-    "OSFamily",
-    "OS_NAMES",
+    "VulnerabilityEntry": "repro.core",
+    "ComponentClass": "repro.core",
+    "AccessVector": "repro.core",
+    "ServerConfiguration": "repro.core",
+    "ValidityStatus": "repro.core",
+    "OSFamily": "repro.core",
+    "OS_NAMES": "repro.core",
     # pipeline
-    "VulnerabilityDatabase",
-    "IngestPipeline",
-    "ComponentClassifier",
-    "ValidityFilter",
+    "VulnerabilityDatabase": "repro.db",
+    "IngestPipeline": "repro.db",
+    "ComponentClassifier": "repro.classify",
+    "ValidityFilter": "repro.classify",
     # incremental ingestion and snapshots
-    "DeltaIngestPipeline",
-    "SnapshotStore",
-    "evolve_corpus",
+    "DeltaIngestPipeline": "repro.snapshots",
+    "SnapshotStore": "repro.snapshots",
+    "evolve_corpus": "repro.synthetic",
     # analyses
-    "VulnerabilityDataset",
-    "PairAnalysis",
-    "TemporalAnalysis",
-    "KSetAnalysis",
-    "PeriodAnalysis",
-    "ReleaseDiversityAnalysis",
-    "ReplicaSetSelector",
-    "summary_findings",
-    "run_experiment",
+    "VulnerabilityDataset": "repro.analysis",
+    "PairAnalysis": "repro.analysis",
+    "TemporalAnalysis": "repro.analysis",
+    "KSetAnalysis": "repro.analysis",
+    "PeriodAnalysis": "repro.analysis",
+    "ReleaseDiversityAnalysis": "repro.analysis",
+    "ReplicaSetSelector": "repro.analysis",
+    "summary_findings": "repro.analysis",
+    "run_experiment": "repro.reports",
     # intrusion tolerance
-    "ReplicaGroup",
-    "BFTService",
-    "CompromiseSimulation",
+    "ReplicaGroup": "repro.itsys",
+    "BFTService": "repro.itsys",
+    "CompromiseSimulation": "repro.itsys",
     # serving layer
-    "DiversityService",
-    "ServiceConfig",
-    "serve",
-]
+    "DiversityService": "repro.service",
+    "ServiceConfig": "repro.service",
+    "serve": "repro.service",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,8 +15,12 @@ Two models:
   ``B`` is the (estimated) total number of vulnerabilities that will ever be
   found.
 
-Both are fitted with least squares (scipy), and compared with the coefficient
-of determination R².
+Both are fitted with least squares, and compared with the coefficient of
+determination R².  The linear fit needs numpy only.  The logistic fit uses
+``scipy.optimize.curve_fit``; scipy is the optional ``fit`` extra
+(``pip install .[fit]``) and is imported inside
+:meth:`DiscoveryModelAnalysis.fit_logistic`, so importing this module (and
+:mod:`repro.analysis`) does not load it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.analysis.temporal import TemporalAnalysis
@@ -112,6 +115,8 @@ class DiscoveryModelAnalysis:
 
         def model(time, a, b, c):
             return b / (1.0 + c * np.exp(-a * b * time))
+
+        from scipy import optimize  # the optional ``fit`` extra
 
         try:
             parameters, _ = optimize.curve_fit(

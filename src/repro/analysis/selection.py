@@ -31,8 +31,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.core.constants import OS_NAMES
 from repro.core.enums import ServerConfiguration
@@ -269,6 +267,8 @@ class ReplicaSetSelector:
         essentially a Prim-style heuristic -- and finally local-search swaps
         single members while that improves the score.
         """
+        import networkx as nx  # only this strategy uses it
+
         self._check_size(n)
         graph = nx.Graph()
         graph.add_nodes_from(self._candidates)
