@@ -15,6 +15,8 @@ With those in hand the core primitives become single machine-level
 operations on big integers:
 
 * ``shared_count(oses)``  -> ``popcount(AND over the OS masks)``;
+* the entries an OS group can observe -> the set bits of the OR over its
+  OS masks (``union_mask``), in dataset order;
 * ``affecting_at_least(k)`` -> ``popcount(entry mask) >= k``;
 * the Table III pair matrix -> one AND + popcount per pair;
 * ``per_combination_totals(k)`` -> a depth-first fold-AND over the catalogue
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,6 +357,14 @@ class IncidenceIndex:
             if not mask:
                 return 0
             mask &= self.os_mask(name)
+        return mask
+
+    def union_mask(self, os_names: Iterable[str]) -> int:
+        """Fold-OR of the OS masks: the entries affecting *any* given OS
+        (0 for an empty name list; an uncatalogued name contributes 0)."""
+        mask = 0
+        for name in os_names:
+            mask |= self.os_mask(name)
         return mask
 
     def shared_count(self, os_names: Sequence[str]) -> int:

@@ -24,7 +24,9 @@ Scoped digests are the content addresses the sweep cache keys on too
 sub-corpus a query can observe, hashed over the configuration view the
 artifacts already compiled.  They are what response ``ETag``\\ s derive
 from, so a snapshot delta that never touches a query's OSes leaves its
-ETag -- and every conditional revalidation against it -- intact.
+ETag -- and every conditional revalidation against it -- intact.  The
+view's incidence index hands the recipe only the scope's own entries (the
+OR of its OS masks), so a miss costs the scope's size, not the view's.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ from repro.snapshots.store import SnapshotRecord
 
 #: Scoped digests memoized per compiled corpus; scopes are client-chosen
 #: (each distinct ``os=`` combination is one), so the memo is LRU-bounded.
-#: A miss costs one pass over the configuration's view; entry digests are
-#: memoised per entry, so it hashes nothing twice.
+#: A miss on a catalogued scope costs one OR of its OS masks and a pass
+#: over the entries it selects; a global miss, one pass over the
+#: configuration's view.  Entry digests are memoised per entry, so it
+#: hashes nothing twice.
 MAX_SCOPE_DIGESTS = 1024
 
 
@@ -285,15 +289,23 @@ class CorpusArtifacts:
         ``None`` means the whole catalogue (global queries).  Hashed over
         :meth:`filtered_valid`, the configuration's view every query shares.
         Stable across snapshot deltas that do not touch the scope -- the
-        property response ETags inherit.
+        property response ETags inherit.  A scope of catalogued OSes hands
+        the recipe only the entries set in the OR of its OS masks in the
+        view's incidence index, in view order -- the entries the recipe
+        would select from the whole view -- so a miss never walks the view.
+        A ``None`` scope, or one naming an uncatalogued OS, hashes the whole
+        view.
         """
         scope = frozenset(os_names) if os_names is not None else None
         key = (scope, configuration)
         with self._lock:
             if key not in self._scoped:
-                self._scoped[key] = scope_digest(
-                    self.filtered_valid(configuration).entries, scope
-                )
+                view = self.filtered_valid(configuration)
+                pool: Sequence[VulnerabilityEntry] = view.entries
+                if scope is not None and scope.issubset(view.os_names):
+                    index = view.incidence
+                    pool = index.decode(index.union_mask(scope))
+                self._scoped[key] = scope_digest(pool, scope)
             self._scoped.move_to_end(key)
             while len(self._scoped) > MAX_SCOPE_DIGESTS:
                 self._scoped.popitem(last=False)

@@ -21,7 +21,9 @@ primitives:
 digests: the digest of the part of a pool one OS group can observe.  Sweep
 cache keys (:meth:`repro.runner.runner.GridRunner.scope_digest`) and
 response ETags (:meth:`repro.service.registry.CorpusArtifacts.scope_digest`)
-both use it, each over the configuration-filtered pool it already holds.
+both use it, each over the configuration-filtered pool it already holds;
+the service first narrows that pool to the group's entries through the
+pool's incidence index, which leaves the digest unchanged.
 
 The payload also round-trips: :func:`entry_from_payload` rebuilds the entry
 (sans raw CPE names, which are feed provenance rather than normalized
@@ -112,7 +114,9 @@ def scope_digest(
     ``os_names`` is ``None``).  Callers pass the configuration-filtered pool
     they already hold, so a delta that touches none of the group's OSes
     leaves the digest -- and the cache keys and ETags derived from it --
-    unchanged, while any change inside the scope moves it.
+    unchanged, while any change inside the scope moves it.  Any sub-pool
+    that keeps every entry the group can observe, in pool order, digests
+    the same.
     """
     targets = frozenset(os_names) if os_names is not None else None
     hasher = hashlib.sha256()

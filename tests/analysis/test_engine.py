@@ -1,5 +1,7 @@
 """Unit tests for the bitset incidence-matrix engine."""
 
+import itertools
+
 import pytest
 
 from repro.analysis.dataset import VulnerabilityDataset
@@ -69,6 +71,22 @@ class TestSharedPrimitives:
     def test_shared_entries_preserve_dataset_order(self, index):
         shared = index.shared_entries(("Debian", "RedHat"))
         assert [entry.cve_id for entry in shared] == ["CVE-2005-0001", "CVE-2005-0002"]
+
+    def test_union_mask_of_no_names_is_empty(self, index):
+        assert index.union_mask(()) == 0
+
+    def test_union_mask_ignores_uncatalogued_names(self, index):
+        assert index.union_mask(("Windows2000",)) == 0
+        assert index.union_mask(("Ubuntu", "Windows2000")) == index.os_mask("Ubuntu")
+
+    def test_union_mask_selects_what_a_per_entry_scan_selects(self, index, entries):
+        # Every catalogued scope: the OR of its masks decodes to the entries
+        # affecting any of its OSes, in dataset order.
+        for size in range(len(index.os_names) + 1):
+            for scope in itertools.combinations(index.os_names, size):
+                assert index.decode(index.union_mask(scope)) == [
+                    entry for entry in entries if entry.affected_os & set(scope)
+                ]
 
     def test_affecting_at_least(self, index):
         assert len(index.affecting_at_least(2)) == 3

@@ -2,20 +2,23 @@
 
 :func:`repro.snapshots.digests.scope_digest` is the only implementation.
 The grid runner feeds it the entries its configuration admits; the service
-registry feeds it the compiled configuration view.  The oracle below
-restates the documented recipe with neither the memo nor a shared filter,
-and both callers must agree with it.
+registry feeds it the compiled configuration view, narrowed through the
+view's incidence index to the scope's entries when every scope name is
+catalogued.  The oracle below restates the documented recipe with neither
+the memo nor a shared filter, and both callers -- the service on every
+engine -- must agree with it.
 """
 
 import dataclasses
 import hashlib
 import pickle
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.dataset import VulnerabilityDataset
+from repro.analysis.dataset import ENGINES, VulnerabilityDataset
 from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import (
     AccessVector,
@@ -27,6 +30,7 @@ from repro.runner import ArrivalSpec, ExperimentGrid, GridCell, GridRunner, Resu
 from repro.service.registry import CorpusArtifacts, DatasetState
 from repro.snapshots import digests as digests_module
 from repro.snapshots.digests import canonical_json, entry_digest, entry_payload, scope_digest
+from repro.synthetic import generate_scaled_catalogue
 from tests.conftest import make_entry
 
 CATALOGUE = ("Debian", "RedHat", "Solaris", "OpenBSD", "NetBSD",
@@ -88,15 +92,22 @@ def _cell(os_names, targeted):
 
 
 def _callers(entries, os_names, targeted, configuration):
-    """(service, runner) scope digests of one group over ``entries``."""
-    artifacts = CorpusArtifacts(
-        VulnerabilityDataset(entries, CATALOGUE), DatasetState(digest="oracle")
+    """Scope digests of one group over ``entries``: the service's on each
+    of ``ENGINES``, then the runner's."""
+    service = tuple(
+        CorpusArtifacts(
+            VulnerabilityDataset(entries, CATALOGUE, engine=engine),
+            DatasetState(digest="oracle"),
+        ).scope_digest(os_names if targeted else None, configuration)
+        for engine in ENGINES
     )
     runner = GridRunner(entries, configuration=configuration, catalogued=False)
-    return (
-        artifacts.scope_digest(os_names if targeted else None, configuration),
-        runner.scope_digest(_cell(os_names, targeted)),
-    )
+    return service + (runner.scope_digest(_cell(os_names, targeted)),)
+
+
+def _agreeing(digest):
+    """What :func:`_callers` returns when every caller computes ``digest``."""
+    return (digest,) * (len(ENGINES) + 1)
 
 
 _entry_spec = st.tuples(
@@ -124,8 +135,8 @@ class TestScopeDigestOracle:
             for index, (oses, validity, access, component_class) in enumerate(specs)
         ]
         expected = _recipe(entries, group if targeted else None, configuration)
-        assert _callers(entries, group, targeted, configuration) == (
-            expected, expected
+        assert _callers(entries, group, targeted, configuration) == _agreeing(
+            expected
         )
 
     @pytest.mark.parametrize(
@@ -156,9 +167,32 @@ class TestScopeDigestOracle:
         hasher = hashlib.sha256()
         for cve_id in selected:
             hasher.update((entry_digest(by_id[cve_id]) + "\n").encode("ascii"))
-        assert _callers(entries, group, targeted, configuration) == (
-            hasher.hexdigest(), hasher.hexdigest()
+        assert _callers(entries, group, targeted, configuration) == _agreeing(
+            hasher.hexdigest()
         )
+
+    def test_scaled_catalogue_scopes_match_the_whole_view(self):
+        # 100 OSes and 4000 entries: OS masks span 63 64-bit words.  Seeded
+        # 2-4-OS scopes take the narrowed pool on every engine and must
+        # digest as the recipe does over the whole configuration view.
+        dataset = generate_scaled_catalogue().dataset()
+        assert (len(dataset.os_names), len(dataset)) == (100, 4000)
+        rng = random.Random(20110627)
+        for configuration in ServerConfiguration:
+            scopes = [
+                tuple(rng.sample(dataset.os_names, rng.randint(2, 4)))
+                for _ in range(100)
+            ]
+            view = dataset.valid().filtered(configuration)
+            expected = [scope_digest(view.entries, scope) for scope in scopes]
+            for engine in ENGINES:
+                artifacts = CorpusArtifacts(
+                    dataset.with_engine(engine), DatasetState(digest="scaled")
+                )
+                assert [
+                    artifacts.scope_digest(scope, configuration)
+                    for scope in scopes
+                ] == expected, (configuration, engine)
 
 
 def _scoped(entries, os_names):

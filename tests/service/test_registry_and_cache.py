@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.dataset import VulnerabilityDataset
+import repro.service.registry as registry_module
+from repro.analysis.dataset import ENGINES, VulnerabilityDataset
 from repro.core.enums import ServerConfiguration
 from repro.service.cache import (
     CachedResponse,
@@ -18,6 +19,7 @@ from repro.service.registry import (
     DatasetState,
     StaticDatasetProvider,
 )
+from repro.snapshots.digests import scope_digest
 
 from tests.conftest import make_entry
 
@@ -102,8 +104,6 @@ class TestCorpusArtifacts:
         ) != artifacts.scope_digest(("Debian", "OpenBSD"))
 
     def test_scope_digest_memo_is_lru_bounded(self, monkeypatch):
-        import repro.service.registry as registry_module
-
         monkeypatch.setattr(registry_module, "MAX_SCOPE_DIGESTS", 4)
         oses = ("Debian", "OpenBSD", "NetBSD", "Ubuntu", "Solaris")
         artifacts = CorpusArtifacts(
@@ -128,6 +128,52 @@ class TestCorpusArtifacts:
         assert artifacts.selector(configuration) is artifacts.selector(
             configuration
         )
+
+
+class TestScopeDigestPool:
+    """What a scoped-digest miss hands the recipe, on the paper corpus."""
+
+    CONFIGURATION = ServerConfiguration.ISOLATED_THIN
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Every pool the registry passes to the recipe, in call order."""
+        pools = []
+
+        def recording(pool, os_names=None):
+            pool = list(pool)
+            pools.append(pool)
+            return scope_digest(pool, os_names)
+
+        monkeypatch.setattr(registry_module, "scope_digest", recording)
+        return pools
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_catalogued_scope_hashes_only_its_entries(
+        self, dataset, pools, engine
+    ):
+        artifacts = CorpusArtifacts(
+            dataset.with_engine(engine), DatasetState(digest="paper")
+        )
+        view = artifacts.filtered_valid(self.CONFIGURATION)
+        scope = ("Debian", "OpenBSD")
+        digest = artifacts.scope_digest(scope, self.CONFIGURATION)
+        selected = [
+            entry for entry in view.entries if entry.affected_os & set(scope)
+        ]
+        assert 0 < len(selected) < len(view)
+        assert pools == [selected]
+        assert digest == scope_digest(view.entries, scope)
+
+    @pytest.mark.parametrize("scope", [None, ("Debian", "Plan9")])
+    def test_a_global_or_uncatalogued_scope_hashes_the_whole_view(
+        self, dataset, pools, scope
+    ):
+        artifacts = CorpusArtifacts(dataset, DatasetState(digest="paper"))
+        view = artifacts.filtered_valid(self.CONFIGURATION)
+        digest = artifacts.scope_digest(scope, self.CONFIGURATION)
+        assert pools == [list(view.entries)]
+        assert digest == scope_digest(view.entries, scope)
 
 
 class TestResponseCache:
