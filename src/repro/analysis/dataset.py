@@ -23,6 +23,12 @@ interchangeable engines:
 
 All engines return identical values in identical order; derived datasets
 (``valid()``, ``filtered()``, ``between()``) inherit the engine choice.
+
+``valid()`` and ``filtered(configuration)`` are memoised on the dataset:
+the first call builds the view, and every later call -- from any analysis
+-- returns that same object, with its compiled index.  Derived views are
+therefore shared and read-only: nothing may mutate one, since every holder
+of the parent dataset sees it.
 """
 
 from __future__ import annotations
@@ -85,6 +91,9 @@ class VulnerabilityDataset:
         self._digest: Optional[str] = None
         self._incidence: Optional[IncidenceIndex] = None
         self._packed: Optional[PackedIndex] = None
+        #: Derived views, built on first use: ``None`` keys the valid view,
+        #: a configuration its filtered view.
+        self._views: Dict[Optional[ServerConfiguration], "VulnerabilityDataset"] = {}
         self._by_os: Dict[str, List[VulnerabilityEntry]] = {name: [] for name in self._os_names}
         for entry in self._entries:
             for name in entry.affected_os:
@@ -219,12 +228,26 @@ class VulnerabilityDataset:
         return list(self._by_os[os_name])
 
     def valid(self) -> "VulnerabilityDataset":
-        """A dataset restricted to valid entries."""
-        return VulnerabilityDataset(
-            (entry for entry in self._entries if entry.is_valid),
-            self._os_names,
-            engine=self._engine,
-        )
+        """A dataset restricted to valid entries (built once, then shared)."""
+        return self._view(None)
+
+    def _view(
+        self, configuration: Optional[ServerConfiguration]
+    ) -> "VulnerabilityDataset":
+        """The memoised derived view: valid entries for ``None``, else the
+        entries ``configuration`` admits.  ``setdefault`` keeps the first
+        view stored, so threads racing on a first call still share one."""
+        view = self._views.get(configuration)
+        if view is None:
+            if configuration is None:
+                entries = [entry for entry in self._entries if entry.is_valid]
+            else:
+                entries = ServerConfigurationFilter(configuration).apply(self._entries)
+            view = self._views.setdefault(
+                configuration,
+                VulnerabilityDataset(entries, self._os_names, engine=self._engine),
+            )
+        return view
 
     # -- validity (Table I) -----------------------------------------------------
 
@@ -253,14 +276,14 @@ class VulnerabilityDataset:
     def filtered(
         self, configuration: ServerConfiguration | ServerConfigurationFilter
     ) -> "VulnerabilityDataset":
-        """Dataset restricted to a server configuration (Fat/Thin/Isolated Thin)."""
-        if isinstance(configuration, ServerConfiguration):
-            configuration = ServerConfigurationFilter(configuration)
-        return VulnerabilityDataset(
-            (entry for entry in self._entries if configuration.admits(entry)),
-            self._os_names,
-            engine=self._engine,
-        )
+        """Dataset restricted to a server configuration (Fat/Thin/Isolated Thin).
+
+        Built once per configuration, then shared; a filter and its
+        configuration name the same view.
+        """
+        if isinstance(configuration, ServerConfigurationFilter):
+            configuration = configuration.configuration
+        return self._view(configuration)
 
     def between(self, start: _dt.date, end: _dt.date) -> "VulnerabilityDataset":
         """Dataset restricted to entries published in [start, end]."""

@@ -64,16 +64,9 @@ class KSetAnalysis:
         dataset: VulnerabilityDataset,
         configuration: ServerConfiguration = ServerConfiguration.FAT,
         os_names: Optional[Sequence[str]] = None,
-        prefiltered: bool = False,
     ) -> None:
-        """``prefiltered=True`` takes ``dataset`` as already valid-only and
-        configuration-filtered, so callers holding such a view (the serving
-        layer's artifact registry) reuse its compiled index instead of
-        building a second copy of the same sub-corpus."""
         self._os_names: Tuple[str, ...] = tuple(os_names or dataset.os_names or OS_NAMES)
-        self._dataset = (
-            dataset if prefiltered else dataset.valid().filtered(configuration)
-        )
+        self._dataset = dataset.valid().filtered(configuration)
 
     # -- breadth of individual vulnerabilities --------------------------------------
 

@@ -42,7 +42,8 @@ Four scenario families are provided, selected by :class:`ScenarioSpec`:
     with probability ``explore`` it throws a uniformly random exploit,
     otherwise the exploit maximising the number of *newly* compromised
     replicas given the current compromise mask (lowest pool index wins
-    ties).
+    ties; memoised per mask, so the pool is scanned once per distinct
+    mask).
 
 Every family consumes only the per-run RNG it is handed, so scenario
 campaigns stay mergeable (:class:`RunRangeTallies`), cacheable
@@ -57,7 +58,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import SimulationError
 
@@ -448,26 +449,35 @@ class AdaptivePolicy(AdversaryPolicy):
     throw is uniformly random (a second draw), otherwise it is the exploit
     whose victim mask newly compromises the most replicas given the current
     mask (lowest pool index wins ties) -- the adversary reading the pair
-    matrix and aiming where diversity is thinnest.
+    matrix and aiming where diversity is thinnest.  That greedy pick
+    depends on the compromise mask alone, of which an n-replica group has
+    at most 2^n, so it is memoised per mask: the pool is scanned once per
+    distinct mask, and every later greedy event at that mask is one dict
+    lookup.  The memo draws nothing, so the RNG stream is unchanged.
     """
 
-    __slots__ = ("_victim_masks", "_pool_indices", "_explore")
+    __slots__ = ("_victim_masks", "_pool_indices", "_explore", "_greedy")
 
     def __init__(self, spec: ScenarioSpec, victim_masks: Sequence[int]) -> None:
         self._victim_masks = tuple(victim_masks)
         self._pool_indices = range(len(victim_masks))
         self._explore = spec.explore
+        #: Compromise mask -> greedy pool index, filled on first use.
+        self._greedy: Dict[int, int] = {}
 
     def choose(self, rng, now: float, compromised: int) -> Optional[int]:
         if rng.random() < self._explore:
             return rng.choice(self._pool_indices)
-        best_index = 0
-        best_damage = -1
-        for index, mask in enumerate(self._victim_masks):
-            damage = (mask & ~compromised).bit_count()
-            if damage > best_damage:
-                best_damage = damage
-                best_index = index
+        best_index = self._greedy.get(compromised)
+        if best_index is None:
+            best_index = 0
+            best_damage = -1
+            for index, mask in enumerate(self._victim_masks):
+                damage = (mask & ~compromised).bit_count()
+                if damage > best_damage:
+                    best_damage = damage
+                    best_index = index
+            self._greedy[compromised] = best_index
         return best_index
 
 

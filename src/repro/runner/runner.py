@@ -4,13 +4,13 @@
 :class:`~repro.runner.grid.ExperimentGrid` and guarantees that the merged
 output is **bit-for-bit identical for workers=1 and workers=N**:
 
-* each cell's ``runs`` are split into chunked run ranges
+* each cell's ``runs`` are executed as run ranges
   (``CompromiseSimulation.run_range``), every run drawing from its own
   ``Random(seed + 7919 * run_index)`` stream regardless of chunking;
-* chunks are executed inline (``workers=1``) or across a
-  ``ProcessPoolExecutor`` whose workers compile the corpus **once per
-  process** (pool filtering and bitmask compilation are the expensive parts,
-  so they ride in the executor initializer, not in every task);
+* a cell runs inline as one range (``workers=1``), or split into chunks
+  across a ``ProcessPoolExecutor`` whose workers compile the corpus **once
+  per process** (pool filtering and bitmask compilation are the expensive
+  parts, so they ride in the executor initializer, not in every task);
 * completed chunks are merged with
   :func:`~repro.itsys.simulation.merge_run_ranges`, which sorts partials by
   run-range start -- worker completion order cannot influence the result;
@@ -46,9 +46,10 @@ from repro.runner.cache import ResultCache, cell_key, corpus_digest, result_to_j
 from repro.runner.grid import ExperimentGrid, GridCell
 from repro.snapshots.digests import scope_digest
 
-#: Chunks scheduled per worker per cell; >1 keeps the pool busy when chunk
-#: durations vary, while staying coarse enough that per-chunk compilation of
-#: the cell's victim bitmasks stays negligible.
+#: Chunks scheduled per pool worker per cell; >1 keeps the pool busy when
+#: chunk durations vary, while staying coarse enough that per-chunk
+#: compilation of the cell's victim bitmasks stays negligible.  Inline runs
+#: take each cell as one range.
 _CHUNKS_PER_WORKER = 2
 
 # -- worker-process state -----------------------------------------------------
@@ -223,11 +224,11 @@ class SweepReport:
 class GridRunner:
     """Executes experiment grids over a corpus, in parallel, deterministically.
 
-    ``workers=1`` runs every chunk inline in this process (the reference
-    path); ``workers>1`` fans chunks out to a ``ProcessPoolExecutor``.  Both
-    paths merge chunk tallies sorted by run-range start, so they produce the
-    same :class:`~repro.itsys.simulation.SimulationResult` per cell bit for
-    bit.
+    ``workers=1`` runs each cell inline in this process as one run range
+    (the reference path); ``workers>1`` fans chunks out to a
+    ``ProcessPoolExecutor`` and merges their tallies sorted by run-range
+    start.  Runs are seeded by index, so both paths produce the same
+    :class:`~repro.itsys.simulation.SimulationResult` per cell bit for bit.
     """
 
     def __init__(
@@ -393,20 +394,16 @@ class GridRunner:
         pending: Sequence[Tuple[int, GridCell]],
         merged: Dict[int, SimulationResult],
     ) -> None:
+        # One range per cell: splitting only helps a pool schedule work,
+        # and each range compiles the cell's pool and victim masks anew.
         simulation = self._local_simulation()
         for index, cell in pending:
-            partials = []
-            for start, stop in chunk_ranges(cell.runs, _CHUNKS_PER_WORKER):
-                chunk_started = CLOCK.perf()
-                partials.append(
-                    simulation.run_range(
-                        cell.os_names, start, stop, **cell.campaign_kwargs()
-                    )
-                )
-                self._chunk_seconds.observe(CLOCK.perf() - chunk_started)
-            merged[index] = result_from_tallies(
-                cell.cell_id, cell.os_names, merge_run_ranges(partials)
+            started = CLOCK.perf()
+            tallies = simulation.run_range(
+                cell.os_names, 0, cell.runs, **cell.campaign_kwargs()
             )
+            self._chunk_seconds.observe(CLOCK.perf() - started)
+            merged[index] = result_from_tallies(cell.cell_id, cell.os_names, tallies)
 
     def _run_pooled(
         self,

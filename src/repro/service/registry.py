@@ -233,8 +233,6 @@ class CorpusArtifacts:
         self.dataset = dataset
         self.state = state
         self._lock = threading.RLock()
-        self._valid: Optional[VulnerabilityDataset] = None
-        self._views: Dict[ServerConfiguration, VulnerabilityDataset] = {}
         #: LRU-bounded: clients choose the scope (the OS set of a query),
         #: so an unbounded memo would grow with every distinct os=
         #: combination ever requested.
@@ -259,11 +257,12 @@ class CorpusArtifacts:
         return self
 
     def valid_dataset(self) -> VulnerabilityDataset:
-        """The valid-entry view most analyses run on (compiled lazily)."""
+        """The valid-entry view most analyses run on (compiled lazily).
+
+        The dataset memoises the view; the lock keeps its compile to one.
+        """
         with self._lock:
-            if self._valid is None:
-                self._valid = self.dataset.valid().compile()
-            return self._valid
+            return self.dataset.valid().compile()
 
     def filtered_valid(
         self, configuration: ServerConfiguration
@@ -271,11 +270,7 @@ class CorpusArtifacts:
         """The valid entries admitted by one server configuration, compiled
         once per configuration and shared by every query that needs it."""
         with self._lock:
-            if configuration not in self._views:
-                self._views[configuration] = (
-                    self.valid_dataset().filtered(configuration).compile()
-                )
-            return self._views[configuration]
+            return self.valid_dataset().filtered(configuration).compile()
 
     # -- scoped content addresses ---------------------------------------------
 
@@ -339,13 +334,13 @@ class CorpusArtifacts:
         """The k-set analysis under one configuration."""
         with self._lock:
             if configuration not in self._ksets:
-                # Reuses the memoized filtered view (and its compiled
-                # index) rather than letting KSetAnalysis rebuild it.
+                # Compile the view here, under the lock: KSetAnalysis takes
+                # the dataset's memoised copy of it.
+                self.filtered_valid(configuration)
                 self._ksets[configuration] = KSetAnalysis(
-                    self.filtered_valid(configuration),
+                    self.dataset,
                     configuration=configuration,
                     os_names=self.os_names,
-                    prefiltered=True,
                 )
             return self._ksets[configuration]
 

@@ -1,11 +1,16 @@
 """Tests for the in-memory vulnerability dataset."""
 
 import datetime as dt
+import sys
+import threading
 
 import pytest
 
-from repro.analysis.dataset import VulnerabilityDataset
+from repro.analysis.dataset import ENGINES, VulnerabilityDataset
+from repro.analysis.engine import IncidenceIndex
+from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import AccessVector, ComponentClass, ServerConfiguration, ValidityStatus
+from repro.reports.experiments import EXPERIMENTS
 from tests.conftest import make_entry
 
 
@@ -82,6 +87,90 @@ class TestFiltering:
     def test_between_rejects_inverted_range(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.between(dt.date(2010, 1, 1), dt.date(2000, 1, 1))
+
+
+class TestDerivedViews:
+    """``valid()`` and ``filtered()`` build each view once, then share it."""
+
+    def test_repeat_calls_return_the_same_view(self, small_dataset):
+        assert small_dataset.valid() is small_dataset.valid()
+        for configuration in ServerConfiguration:
+            view = small_dataset.filtered(configuration)
+            assert small_dataset.filtered(configuration) is view
+            assert (
+                small_dataset.filtered(ServerConfigurationFilter(configuration))
+                is view
+            )
+
+    def test_a_filter_first_builds_its_configurations_view(self, small_dataset):
+        thin = small_dataset.filtered(
+            ServerConfigurationFilter(ServerConfiguration.THIN)
+        )
+        assert small_dataset.filtered(ServerConfiguration.THIN) is thin
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_views_equal_a_fresh_filter_entry_for_entry(self, corpus, engine):
+        dataset = VulnerabilityDataset(corpus.entries, engine=engine)
+        valid = dataset.valid()
+        expected = [entry for entry in corpus.entries if entry.is_valid]
+        assert len(valid) == len(expected)
+        assert all(got is want for got, want in zip(valid, expected))
+        assert valid.engine == engine
+        for configuration in ServerConfiguration:
+            admits = ServerConfigurationFilter(configuration).admits
+            for parent in (dataset, valid):
+                view = parent.filtered(configuration)
+                expected = [entry for entry in parent if admits(entry)]
+                assert len(view) == len(expected)
+                assert all(got is want for got, want in zip(view, expected))
+                assert view.engine == engine
+                assert view.os_names == dataset.os_names
+
+    def test_threads_racing_on_first_calls_share_one_view(self, corpus):
+        """A lost update would hand racing threads different views."""
+        dataset = VulnerabilityDataset(corpus.entries)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        seen = [[] for _ in range(workers)]
+
+        def derive(slot):
+            barrier.wait(timeout=10)
+            seen[slot].append(dataset.valid())
+            seen[slot].extend(dataset.filtered(c) for c in ServerConfiguration)
+
+        threads = [
+            threading.Thread(target=derive, args=(slot,)) for slot in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        first = seen[0]
+        assert len(first) == 1 + len(ServerConfiguration)
+        for views in seen[1:]:
+            assert len(views) == len(first)
+            assert all(view is shared for view, shared in zip(views, first))
+
+    def test_an_experiments_pass_compiles_each_view_once(self, corpus, monkeypatch):
+        """Every analysis of one pass shares one view and its index."""
+        built = []
+        original = IncidenceIndex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncidenceIndex, "__init__", counting_init)
+        dataset = VulnerabilityDataset(corpus.entries)
+        for experiment in EXPERIMENTS.values():
+            experiment.run(dataset)
+        assert len(built) == 13
 
 
 class TestSharedPrimitives:

@@ -14,6 +14,10 @@ Three contracts gate every scenario family (``campaign``, ``patch-race``,
   per-run RNG in exactly the classic loop's order, so it must reproduce the
   scenario-less campaign bit for bit.
 
+The adaptive policy memoises its greedy pick per compromise mask; a
+hypothesis oracle holds it to an unmemoised argmax draw for draw, and a
+cost test counts its pool scans over a whole run range.
+
 Plus deterministic unit coverage of spec normalisation, parsing, labels and
 the policy/arrival building blocks.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +46,7 @@ from repro.itsys.scenarios import (
     gompertz_closure_time,
     parse_scenario,
 )
+from repro.itsys import simulation as simulation_module
 from repro.itsys.simulation import CompromiseSimulation, merge_run_ranges
 from tests.itsys.test_simulation_equivalence import GROUP_OSES, POOL, campaigns
 
@@ -202,6 +208,103 @@ def test_adaptive_policy_aims_at_the_post_recovery_mask(monkeypatch):
                 checked += 1
             previous = now
     assert checked > 0
+
+
+def _unmemoised_pick(victim_masks, compromised):
+    """The greedy argmax, recomputed on every call: the most new damage,
+    and ``list.index`` takes the lowest index among equals."""
+    damages = [(mask & ~compromised).bit_count() for mask in victim_masks]
+    return damages.index(max(damages))
+
+
+@st.composite
+def adaptive_histories(draw):
+    """Victim masks over 1-7 replicas plus a sequence of compromise masks.
+
+    Both draw from a small alphabet holding 0, so duplicate and zero victim
+    masks are common and compromise masks repeat (memo hits); the sequence
+    also mixes in arbitrary masks (memo misses).
+    """
+    replicas = draw(st.integers(min_value=1, max_value=7))
+    masks = st.integers(min_value=0, max_value=(1 << replicas) - 1)
+    alphabet = [0, *draw(st.lists(masks, min_size=1, max_size=4))]
+    victim_masks = draw(
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=12)
+    )
+    history = draw(
+        st.lists(st.one_of(st.sampled_from(alphabet), masks), min_size=1, max_size=40)
+    )
+    return victim_masks, history
+
+
+@given(
+    case=adaptive_histories(),
+    explore=st.sampled_from((0.0, 0.2, 1.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_adaptive_memo_matches_an_unmemoised_argmax(case, explore, seed):
+    """Same pick and same draws as the scan it memoises, call after call."""
+    victim_masks, history = case
+    policy = AdaptivePolicy(
+        ScenarioSpec(family="adaptive", explore=explore), victim_masks
+    )
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    pool_indices = range(len(victim_masks))
+    for now, compromised in enumerate(history):
+        if oracle_rng.random() < explore:
+            expected = oracle_rng.choice(pool_indices)
+        else:
+            expected = _unmemoised_pick(victim_masks, compromised)
+        assert policy.choose(rng, float(now), compromised) == expected
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_adaptive_range_scans_the_pool_once_per_distinct_mask(
+    corpus, monkeypatch
+):
+    """Over a 100-run range the greedy scan runs at most once per mask.
+
+    The policy is handed stand-in victim masks that count every ``&``
+    applied to them, and a scan applies one per pool entry; the event loop
+    keeps the real masks, so only the policy's scans are counted.
+    """
+    ands = []
+    pool_sizes = []
+
+    class CountedMask(int):
+        def __and__(self, other):
+            ands.append(self)
+            return int(self) & other
+
+    def counted_scenario(spec, draw_gap, victim_masks, replicas):
+        pool_sizes.append(len(victim_masks))
+        counted = [CountedMask(mask) for mask in victim_masks]
+        return build_scenario(spec, draw_gap, counted, replicas)
+
+    seen = []
+    choose = AdaptivePolicy.choose
+
+    def recording_choose(self, rng, now, compromised):
+        seen.append(compromised)
+        return choose(self, rng, now, compromised)
+
+    monkeypatch.setattr(simulation_module, "build_scenario", counted_scenario)
+    monkeypatch.setattr(AdaptivePolicy, "choose", recording_choose)
+    simulation = CompromiseSimulation(
+        [entry for entry in corpus.entries if entry.is_valid], seed=11
+    )
+    simulation.run_range(
+        ("Windows2003", "Solaris", "Debian", "OpenBSD"), 0, 100,
+        recovery_interval=2.0,
+        scenario=ScenarioSpec(family="adaptive", explore=0.2),
+    )
+    (pool_size,) = pool_sizes
+    scans, remainder = divmod(len(ands), pool_size)
+    assert remainder == 0
+    assert 0 < scans <= len(set(seen))
+    # Thousands of events visit a handful of masks: the memo answers them.
+    assert len(seen) > 20 * scans
 
 
 class TestScenarioSpec:

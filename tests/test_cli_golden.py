@@ -39,6 +39,15 @@ SWEEP_SCENARIO_ARGS = [
     "--no-cache", "--json",
 ]
 
+#: Greedy-only and exploring adaptive cells, with and without recovery.
+SWEEP_ADAPTIVE_ARGS = [
+    "sweep", "--runs", "8", "--horizon", "2.0",
+    "--config", "Set1", "--homogeneous", "Debian",
+    "--recovery-intervals", "none,0.5",
+    "--scenario", "adaptive:explore=0", "--scenario", "adaptive:explore=0.2",
+    "--no-cache", "--json",
+]
+
 
 def _stdout_of(capsys, argv) -> str:
     assert main(argv) == 0
@@ -112,6 +121,15 @@ class TestScenarioGolden:
     def test_sweep_scenario_json_identical_across_worker_counts(self, capsys):
         serial = _stdout_of(capsys, SWEEP_SCENARIO_ARGS)
         pooled = _stdout_of(capsys, [*SWEEP_SCENARIO_ARGS, "--workers", "2"])
+        assert serial == pooled
+
+    def test_sweep_adaptive_json_matches_golden(self, capsys, golden):
+        golden("sweep_adaptive.json", _stdout_of(capsys, SWEEP_ADAPTIVE_ARGS))
+
+    def test_sweep_adaptive_json_identical_across_worker_counts(self, capsys):
+        """One range per cell inline, four chunks per cell pooled."""
+        serial = _stdout_of(capsys, SWEEP_ADAPTIVE_ARGS)
+        pooled = _stdout_of(capsys, [*SWEEP_ADAPTIVE_ARGS, "--workers", "2"])
         assert serial == pooled
 
     def test_sweep_scenario_axis_multiplies_cells(self, capsys):
