@@ -1,104 +1,46 @@
-"""Packed-word numpy engine vs bitset: catalogue-wide queries and deltas.
+"""Packed-word numpy engine vs bitset: catalogue-wide queries.
 
 Two corpora are exercised:
 
 * the **paper-sized** calibrated corpus (11 OSes, ~2.2k entries), where all
-  three engines run the full workload and must agree entry for entry, and a
-  1% modification delta patches bit-for-bit;
+  three engines run the full workload and must agree entry for entry;
 * a **scaled** 500-OS catalogue (25 families x 20 releases, 20000 entries)
   from :func:`repro.synthetic.generator.generate_scaled_catalogue`, carrying
-  the two acceptance gates of the packed engine:
-
-  - the catalogue-wide query workload (full pair matrix + k=3 over 100 OSes
-    + k=4 over 40 OSes) must run >= 10x faster on the packed engine's
-    array APIs (:meth:`~repro.analysis.engine.PackedIndex.pair_count_matrix`,
-    :meth:`~repro.analysis.engine.PackedIndex.k_set_counts`) than on the
-    bitset engine -- per-combination big-int ANDs are interpreter-bound at
-    this scale, column-walking :func:`~repro.analysis.engine.combination_counts`
-    is not;
-  - :meth:`~repro.analysis.engine.PackedIndex.apply_diff` over a 1%
-    modification delta must run >= 10x faster than recompiling the corpus
-    from scratch, while producing a bit-for-bit identical index.
+  the acceptance gate of the packed engine: the catalogue-wide query
+  workload (full pair matrix + k=3 over 100 OSes + k=4 over 40 OSes) must
+  run >= 10x faster on the packed engine's array APIs
+  (:meth:`~repro.analysis.engine.PackedIndex.pair_count_matrix`,
+  :meth:`~repro.analysis.engine.PackedIndex.k_set_counts`) than on the
+  bitset engine -- per-combination big-int ANDs are interpreter-bound at
+  this scale, column-walking :func:`~repro.analysis.engine.combination_counts`
+  is not.
 
 Run the paper-sized smoke subset (what CI does)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_packed.py -q -k paper
 
-or the full comparison, including both 500-OS speedup gates::
+or the full comparison, including the 500-OS speedup gate::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_packed.py -q
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
 
-from repro.analysis.engine import PackedIndex
 from repro.analysis.pairs import PairAnalysis
 from repro.core.enums import ServerConfiguration
-from repro.snapshots.diff import SnapshotDiff
 from repro.synthetic.generator import generate_scaled_catalogue
 
 SPEEDUP_FLOOR = 10.0  # packed vs bitset on the 500-OS query workload
-DELTA_SPEEDUP_FLOOR = 10.0  # apply_diff vs recompile on a 1% delta
 
 
 def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
-
-
-def _best_of(fn, reps):
-    """Best-of-``reps`` wall time (noise-robust for millisecond paths)."""
-    result, best = _timed(fn)
-    for _ in range(reps - 1):
-        result, elapsed = _timed(fn)
-        best = min(best, elapsed)
-    return result, best
-
-
-def _modification_delta(entries, os_names, fraction=0.01, seed=7):
-    """A ``SnapshotDiff`` churning the affected-OS sets of 1% of the corpus.
-
-    Publication dates and ids are untouched -- the canonical entry order is
-    preserved, exactly the shape of a routine feed revision landing on the
-    service's snapshot ledger.
-    """
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(
-        len(entries), size=max(1, int(len(entries) * fraction)), replace=False
-    )
-    old, new = {}, {}
-    new_entries = list(entries)
-    for position in sorted(picks.tolist()):
-        entry = entries[position]
-        churned = frozenset(
-            sorted(entry.affected_os)[:-1] or [os_names[position % len(os_names)]]
-        ) | {os_names[(position * 7) % len(os_names)]}
-        modified = dataclasses.replace(entry, affected_os=churned)
-        old[entry.cve_id] = entry
-        new[entry.cve_id] = modified
-        new_entries[position] = modified
-    diff = SnapshotDiff(
-        from_snapshot=None,
-        to_snapshot=None,
-        added=(),
-        modified=tuple(sorted(new)),
-        removed=(),
-        old_entries=old,
-        new_entries=new,
-    )
-    return diff, new_entries
-
-
-def _assert_bit_for_bit(patched: PackedIndex, fresh: PackedIndex) -> None:
-    assert patched.entries == fresh.entries
-    assert np.array_equal(patched._rows, fresh._rows)
-    assert np.array_equal(patched._bool_matrix(), fresh._bool_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +86,8 @@ def test_paper_sized_packed_ksets_agree(dataset):
         )
 
 
-def test_paper_sized_delta_patches_bit_for_bit(dataset):
-    """A 1% modification delta patches the paper corpus bit for bit."""
-    entries = sorted(
-        dataset.entries, key=lambda entry: (entry.published, entry.cve_id)
-    )
-    names = dataset.os_names
-    diff, new_entries = _modification_delta(entries, names)
-    base = PackedIndex(entries, names)
-    patched, patch_s = _timed(base.apply_diff, diff)
-    fresh, fresh_s = _timed(PackedIndex, new_entries, names)
-    _assert_bit_for_bit(patched, fresh)
-    print(
-        f"\n=== paper-sized 1% delta ({len(diff.modified)} modifications) ===\n"
-        f"  apply_diff={patch_s * 1e3:.2f}ms  recompile={fresh_s * 1e3:.2f}ms"
-    )
-
-
 # ---------------------------------------------------------------------------
-# scaled 500-OS catalogue (the acceptance gates)
+# scaled 500-OS catalogue (the acceptance gate)
 # ---------------------------------------------------------------------------
 
 
@@ -213,26 +138,3 @@ def test_scaled_catalogue_query_workload_speedup():
     print(f"  bitset: {bitset_s * 1e3:7.1f}ms   packed: {packed_s * 1e3:6.1f}ms (cold)")
     print(f"  speedup: x{speedup:.1f}  (floor: x{SPEEDUP_FLOOR:.0f})")
     assert speedup >= SPEEDUP_FLOOR
-
-
-def test_scaled_catalogue_delta_patch_speedup():
-    """apply_diff on a 1% delta: >= 10x faster than a full recompile."""
-    catalogue = _scaled_catalogue()
-    names = catalogue.os_names
-    entries = sorted(
-        catalogue.entries, key=lambda entry: (entry.published, entry.cve_id)
-    )
-    diff, new_entries = _modification_delta(entries, names)
-    base = PackedIndex(entries, names)
-
-    patched, patch_s = _best_of(lambda: base.apply_diff(diff), reps=5)
-    fresh, fresh_s = _best_of(lambda: PackedIndex(new_entries, names), reps=3)
-    _assert_bit_for_bit(patched, fresh)
-
-    speedup = fresh_s / patch_s
-    print("\n=== scaled catalogue: 1% delta on 20000 entries ===")
-    print(f"  {len(diff.modified)} modified entries, "
-          f"{len(entries)} total, {len(names)} OSes")
-    print(f"  apply_diff: {patch_s * 1e3:6.2f}ms   recompile: {fresh_s * 1e3:6.1f}ms")
-    print(f"  speedup: x{speedup:.1f}  (floor: x{DELTA_SPEEDUP_FLOOR:.0f})")
-    assert speedup >= DELTA_SPEEDUP_FLOOR

@@ -15,8 +15,7 @@ interchangeable engines:
 * ``"packed"`` -- the numpy packed-word index
   (:class:`repro.analysis.engine.PackedIndex`): the same incidence matrix
   as ``uint64`` word arrays with vectorised AND + popcount, the fastest
-  path for wide pair/k-set workloads and the only engine supporting
-  incremental index maintenance (``apply_diff``);
+  path for wide pair/k-set workloads;
 * ``"naive"`` -- the original per-entry set re-intersection, kept as the
   reference implementation for cross-checking (``--engine naive`` on the
   CLI, and the equivalence test suite).
@@ -163,8 +162,7 @@ class VulnerabilityDataset:
         """The numpy packed-word index over this dataset (built lazily).
 
         Like :attr:`incidence`, available regardless of the configured
-        engine -- incremental maintenance (:meth:`PackedIndex.apply_diff`)
-        and the vectorised pair/k-set paths are always reachable.
+        engine, so the vectorised pair/k-set paths are always reachable.
         """
         if self._packed is None:
             self._packed = PackedIndex(self._entries, self._os_names)
@@ -182,25 +180,6 @@ class VulnerabilityDataset:
         if self._engine == "packed":
             return self.packed
         return self.incidence
-
-    @classmethod
-    def from_packed_index(
-        cls,
-        index: PackedIndex,
-        snapshot: Optional["SnapshotRecord"] = None,
-    ) -> "VulnerabilityDataset":
-        """A ``engine="packed"`` dataset adopting an already-built index.
-
-        The incremental serving path (:meth:`repro.service.registry
-        .ArtifactRegistry.patch`) derives a new :class:`PackedIndex` from a
-        snapshot diff and wraps it here, so "compiling" the patched dataset
-        costs nothing.
-        """
-        dataset = cls(
-            index.entries, index.os_names, engine="packed", snapshot=snapshot
-        )
-        dataset._packed = index
-        return dataset
 
     def compile(self) -> "VulnerabilityDataset":
         """Build the configured engine's index eagerly and return ``self``.

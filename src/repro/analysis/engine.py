@@ -41,24 +41,19 @@ popcount for intersections) and answers whole pair/k-set workloads by
 *column walking*: every entry contributes one count to each ``k``
 -combination of the OSes it affects, binned in C with
 :func:`combination_counts`, so catalogue-wide matrices cost work
-proportional to the set bits rather than to combinations x entries.  It
-also supports :meth:`PackedIndex.apply_diff`, which derives the index of a
-neighbouring snapshot incrementally instead of recompiling the whole
-corpus.  All three engines return identical values in identical order.
+proportional to the set bits rather than to combinations x entries.  All
+three engines return identical values in identical order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.models import VulnerabilityEntry
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.snapshots.diff import SnapshotDiff
 
 Pair = Tuple[str, str]
 
@@ -484,20 +479,14 @@ class IncidenceIndex:
         return self.decode(selected)
 
 
-#: ``PackedIndex.apply_diff`` falls back to a from-scratch rebuild once a
-#: diff touches more than this fraction of the post-diff corpus -- past
-#: that point the column gather saves nothing over the full compile.
-PATCH_REBUILD_FRACTION = 0.25
-
-
 class PackedIndex:
     """Packed-word incidence matrix over numpy ``uint64`` arrays.
 
     The third engine (``engine="packed"``): the same OS x vulnerability
     incidence matrix as :class:`IncidenceIndex`, stored as
 
-    * a boolean master matrix ``(n_os, n_entries)`` -- the mutable source of
-      truth for decoding and incremental column patches, and
+    * a boolean matrix ``(n_os, n_entries)``, which decoding queries read,
+      and
     * one packed ``uint64`` word row per OS (``(n_os, ceil(n_entries/64))``,
       via :func:`pack_bool_matrix`) -- the operand of every AND + popcount.
 
@@ -509,12 +498,6 @@ class PackedIndex:
     :func:`word_popcounts` intersections for individual groups.  That is
     what unlocks 500-OS catalogues, where per-combination big-int ANDs are
     interpreter-bound.
-
-    Unlike the bitset index, a packed index can also be *patched*:
-    :meth:`apply_diff` derives the index of a neighbouring snapshot from a
-    :class:`~repro.snapshots.diff.SnapshotDiff` by gathering untouched
-    columns and rebuilding only the changed ones, bit-for-bit equal to a
-    from-scratch compile of the post-diff corpus.
     """
 
     __slots__ = (
@@ -524,7 +507,6 @@ class PackedIndex:
         "_bool",
         "_rows",
         "_gram",
-        "_columns",
     )
 
     def __init__(
@@ -535,79 +517,15 @@ class PackedIndex:
         self._os_index: Dict[str, int] = {
             name: position for position, name in enumerate(self._os_names)
         }
-        columns: Dict[str, int] = {}
         matrix = np.zeros((len(self._os_names), len(self._entries)), dtype=bool)
         for column, entry in enumerate(self._entries):
-            columns[entry.cve_id] = column
             for name in entry.affected_os:
                 position = self._os_index.get(name)
                 if position is not None:
                     matrix[position, column] = True
-        self._bool: Optional[np.ndarray] = matrix
+        self._bool: np.ndarray = matrix
         self._rows: np.ndarray = pack_bool_matrix(matrix)
         self._gram: Optional[np.ndarray] = None
-        self._columns: Optional[Dict[str, int]] = columns
-
-    @classmethod
-    def _from_matrix(
-        cls,
-        entries: Sequence[VulnerabilityEntry],
-        os_names: Sequence[str],
-        matrix: Optional[np.ndarray],
-        rows: Optional[np.ndarray] = None,
-        columns: Optional[Dict[str, int]] = None,
-    ) -> "PackedIndex":
-        """Wrap already-built incidence arrays (the apply_diff fast paths).
-
-        At least one of ``matrix`` and ``rows`` must be given; the other is
-        derived on demand (packed eagerly from ``matrix``, or the boolean
-        matrix unpacked lazily from ``rows`` via :meth:`_bool_matrix`).
-        ``columns`` carries over a still-valid cve-id -> column map.  All
-        arguments must be mutually consistent -- this is an internal
-        constructor, not a public API.
-        """
-        index = cls.__new__(cls)
-        index._entries = tuple(entries)
-        index._os_names = tuple(os_names)
-        index._os_index = {
-            name: position for position, name in enumerate(index._os_names)
-        }
-        index._bool = matrix
-        index._rows = pack_bool_matrix(matrix) if rows is None else rows
-        index._gram = None
-        index._columns = columns
-        return index
-
-    def _bool_matrix(self) -> np.ndarray:
-        """The boolean incidence matrix, unpacked from the words on demand.
-
-        Word-patched indexes (:meth:`_patch_columns_in_place`) are born
-        without a materialised boolean matrix so a patch never touches the
-        ``n_os x n_entries`` plane; the first decoding query pays the
-        unpack.  The packed words are an exact encoding, so this always
-        reproduces the constructor's matrix bit for bit: the words' memory
-        bytes *are* the little-order packbits bytes, whatever the platform.
-        """
-        if self._bool is None:
-            if not self._entries:
-                self._bool = np.zeros((len(self._os_names), 0), dtype=bool)
-            else:
-                self._bool = np.unpackbits(
-                    np.ascontiguousarray(self._rows).view(np.uint8),
-                    axis=1,
-                    count=len(self._entries),
-                    bitorder="little",
-                ).view(bool)
-        return self._bool
-
-    def _column_map(self) -> Dict[str, int]:
-        """Lazy cve-id -> column map (rebuilt after gather-style patches)."""
-        if self._columns is None:
-            self._columns = {
-                entry.cve_id: column
-                for column, entry in enumerate(self._entries)
-            }
-        return self._columns
 
     # -- pickling ---------------------------------------------------------------
 
@@ -622,7 +540,7 @@ class PackedIndex:
         return (
             self._entries,
             self._os_names,
-            np.packbits(self._bool_matrix(), axis=1),
+            np.packbits(self._bool, axis=1),
         )
 
     def __setstate__(self, state: Tuple[object, ...]) -> None:
@@ -637,7 +555,6 @@ class PackedIndex:
         ).astype(bool)
         self._rows = pack_bool_matrix(self._bool)
         self._gram = None
-        self._columns = None
 
     # -- basic accessors --------------------------------------------------------
 
@@ -695,20 +612,20 @@ class PackedIndex:
             position = self._os_index.get(name)
             if position is None:
                 return []
-            row = self._bool_matrix()[position]
+            row = self._bool[position]
             acc = row if acc is None else acc & row
         entries = self._entries
         return [entries[index] for index in np.nonzero(acc)[0]]
 
     def breadth(self, entry_index: int) -> int:
         """How many catalogued OSes entry ``entry_index`` affects."""
-        return int(self._bool_matrix()[:, entry_index].sum())
+        return int(self._bool[:, entry_index].sum())
 
     def affecting_at_least(self, k: int) -> List[VulnerabilityEntry]:
         """Entries affecting at least ``k`` catalogued OSes, in dataset order."""
         if not self._entries:
             return []
-        counts = self._bool_matrix().sum(axis=0)
+        counts = self._bool.sum(axis=0)
         entries = self._entries
         return [entries[index] for index in np.nonzero(counts >= k)[0]]
 
@@ -716,7 +633,7 @@ class PackedIndex:
         """Histogram of per-entry breadth over the catalogued OSes (breadth >= 1)."""
         if not self._entries:
             return {}
-        counts = np.bincount(self._bool_matrix().sum(axis=0))
+        counts = np.bincount(self._bool.sum(axis=0))
         return {
             breadth: int(count)
             for breadth, count in enumerate(counts)
@@ -920,146 +837,11 @@ class PackedIndex:
         multiplicity = np.fromiter(
             weights.values(), dtype=np.int64, count=len(weights)
         )
-        hits = multiplicity @ self._bool_matrix()[positions]
+        hits = multiplicity @ self._bool[positions]
         # The bitset index only ever scans the group's union, so a
         # sub-one threshold still admits only entries touching the group.
         entries = self._entries
         return [entries[index] for index in np.nonzero(hits >= max(threshold, 1))[0]]
-
-    # -- incremental maintenance -------------------------------------------------
-
-    def apply_diff(self, diff: "SnapshotDiff") -> "PackedIndex":
-        """The index of the post-diff corpus, patching only touched columns.
-
-        ``diff`` must describe a change *from* this index's entry set (its
-        removed/modified ids name entries present here).  The new corpus is
-        the canonical snapshot materialisation -- old entries minus
-        removed/modified, plus the diff's post-change entries, sorted by
-        ``(published, cve_id)`` -- so the result is **bit-for-bit equal** to
-        ``PackedIndex(new_entries, os_names)`` while doing Python-level work
-        only for the changed entries: every untouched column is gathered
-        from the existing boolean matrix in one vectorised pass and the
-        words are repacked in C.
-
-        Three strategies, cheapest first, all bit-for-bit identical:
-
-        * **in-place word patch** -- a modification-only diff that keeps
-          every ``(published, cve_id)`` sort key preserves the column order,
-          so only the touched columns (and their packed words) are rewritten
-          on copies of the parent arrays.  Work is proportional to the diff,
-          not the corpus: this is what makes a 1% delta land in about a
-          millisecond on a 500-OS catalogue.
-        * **column gather** -- additions, removals or date changes reorder
-          columns, so every surviving column is gathered from the old matrix
-          in one vectorised pass and the words are repacked in C.
-        * **full rebuild** -- past :data:`PATCH_REBUILD_FRACTION` of the
-          post-diff corpus the gather buys nothing over the constructor.
-        """
-        if diff.is_empty:
-            return self
-        if not diff.added and not diff.removed:
-            patched = self._patch_columns_in_place(diff)
-            if patched is not None:
-                return patched
-        dropped = {*diff.modified, *diff.removed}
-        incoming = [
-            diff.new_entries[cve_id] for cve_id in (*diff.added, *diff.modified)
-        ]
-        tagged: List[Tuple[VulnerabilityEntry, Optional[int]]] = [
-            (entry, column)
-            for column, entry in enumerate(self._entries)
-            if entry.cve_id not in dropped
-        ]
-        tagged.extend((entry, None) for entry in incoming)
-        tagged.sort(key=lambda item: (item[0].published, item[0].cve_id))
-        new_entries = tuple(entry for entry, _ in tagged)
-        if len(diff.changed) > PATCH_REBUILD_FRACTION * max(1, len(new_entries)):
-            return PackedIndex(new_entries, self._os_names)
-        matrix = np.zeros((len(self._os_names), len(new_entries)), dtype=bool)
-        old_columns = [column for _, column in tagged if column is not None]
-        if old_columns:
-            kept = np.fromiter(
-                (
-                    column
-                    for column, (_, old) in enumerate(tagged)
-                    if old is not None
-                ),
-                dtype=np.intp,
-                count=len(old_columns),
-            )
-            matrix[:, kept] = self._bool_matrix()[
-                :, np.asarray(old_columns, dtype=np.intp)
-            ]
-        for column, (entry, old) in enumerate(tagged):
-            if old is not None:
-                continue
-            for name in entry.affected_os:
-                position = self._os_index.get(name)
-                if position is not None:
-                    matrix[position, column] = True
-        return PackedIndex._from_matrix(new_entries, self._os_names, matrix)
-
-    def _patch_columns_in_place(self, diff: "SnapshotDiff") -> Optional["PackedIndex"]:
-        """Patch a modification-only diff without moving any column.
-
-        Applies when every modified entry keeps its ``(published, cve_id)``
-        sort key, so the canonical entry order -- and hence every column
-        position -- is unchanged.  Touched columns are rewritten on copies
-        of the boolean matrix and the packed rows (only the affected 64-bit
-        words are repacked), making the cost proportional to the diff size.
-        Returns ``None`` when a key changed or names an unknown entry, and
-        the caller falls back to the general gather.
-        """
-        columns = self._column_map()
-        replacements: List[Tuple[int, VulnerabilityEntry]] = []
-        for cve_id in diff.modified:
-            column = columns.get(cve_id)
-            if column is None:
-                return None
-            entry = diff.new_entries[cve_id]
-            if entry.published != self._entries[column].published:
-                return None
-            replacements.append((column, entry))
-        entries = list(self._entries)
-        rows = self._rows.copy()
-        set_positions: List[int] = []
-        set_columns: List[int] = []
-        for column, entry in replacements:
-            entries[column] = entry
-            for name in entry.affected_os:
-                position = self._os_index.get(name)
-                if position is not None:
-                    set_positions.append(position)
-                    set_columns.append(column)
-        touched = np.fromiter(
-            (column for column, _ in replacements),
-            dtype=np.intp,
-            count=len(replacements),
-        )
-        # Clear the touched columns word-wise (one combined mask per 64-bit
-        # word), then set the new incidence bits; the boolean matrix of the
-        # patched index materialises lazily from these words when needed.
-        words, word_of = np.unique(touched >> 6, return_inverse=True)
-        clear = np.zeros(words.size, dtype=np.uint64)
-        np.bitwise_or.at(
-            clear,
-            word_of,
-            np.left_shift(np.uint64(1), (touched & 63).astype(np.uint64)),
-        )
-        rows[:, words] &= ~clear
-        if set_positions:
-            position_array = np.asarray(set_positions, dtype=np.intp)
-            column_array = np.asarray(set_columns, dtype=np.intp)
-            np.bitwise_or.at(
-                rows,
-                (position_array, column_array >> 6),
-                np.left_shift(
-                    np.uint64(1), (column_array & 63).astype(np.uint64)
-                ),
-            )
-        return PackedIndex._from_matrix(
-            entries, self._os_names, None, rows=rows, columns=columns
-        )
 
 
 class ReplicaIncidence:

@@ -17,7 +17,9 @@ answer from memory**.  Three pieces deliver it:
   per-digest locks: N concurrent identical requests trigger exactly one
   compile (``compile_count`` counts them, which the concurrency tests
   assert), and an LRU bound keeps at most ``max_datasets`` corpora live
-  across rolling snapshot deltas.
+  across rolling snapshot deltas.  After a delta, :meth:`ArtifactRegistry
+  .patch` derives the new head from its cached parent's entries, on every
+  engine, so the ingesting worker never decodes the ledger for it.
 
 Scoped digests are the content addresses the sweep cache keys on too
 (:func:`repro.snapshots.digests.scope_digest`): the digest of the
@@ -394,7 +396,7 @@ class ArtifactRegistry:
         )
         self._patch_seconds = self._metrics.histogram(
             "registry_patch_seconds",
-            "Wall time of incremental diff patches (compile avoided).",
+            "Wall time of heads derived from a cached parent (ledger decode avoided).",
         )
 
     @property
@@ -452,14 +454,8 @@ class ArtifactRegistry:
             elapsed = self._clock.perf() - started
             self._compile_seconds.observe(elapsed)
             self._record_span("registry.compile", started, elapsed)
-            with self._mutex:
-                self._events.inc(event="compile")
-                self._artifacts[state.digest] = compiled
-                self._artifacts.move_to_end(state.digest)
-                while len(self._artifacts) > self._max:
-                    evicted, _ = self._artifacts.popitem(last=False)
-                    self._locks.pop(evicted, None)
-            return compiled
+            self._events.inc(event="compile")
+            return self._register(compiled)
 
     def patch(
         self,
@@ -467,50 +463,64 @@ class ArtifactRegistry:
         state: DatasetState,
         diff: SnapshotDiff,
     ) -> Optional[CorpusArtifacts]:
-        """Derive ``state``'s artifacts from its parent's packed index.
+        """Derive ``state``'s artifacts from its cached parent's entries.
 
         The incremental serving path: when a snapshot delta lands and the
-        parent digest's corpus is already compiled on the ``"packed"``
-        engine, :meth:`~repro.analysis.engine.PackedIndex.apply_diff`
-        patches only the touched entry columns instead of recompiling the
-        whole corpus, and the result is registered under the new digest so
-        the next request hits warm.  Returns ``None`` (and the next ``get``
-        compiles from scratch) whenever patching does not apply: the parent
-        is not cached, the cached dataset is not packed, or the new digest
-        is already compiled.  Both paths produce byte-identical datasets,
-        scoped digests and ETags -- ``apply_diff`` is bit-for-bit equal to a
-        recompile -- so patching is purely a latency optimisation,
-        observable only through ``patched_count``.
+        parent digest's corpus is cached, :meth:`SnapshotDiff.apply
+        <repro.snapshots.diff.SnapshotDiff.apply>` replays ``diff`` on the
+        parent's entries -- every unchanged entry object, with its memoised
+        digest, carries over -- and the new dataset is compiled on the
+        parent's engine and registered under the new digest, so the next
+        request hits warm without decoding the ledger.  Returns ``None``
+        (and the next ``get`` loads from the ledger) when the parent is not
+        cached, and the registered artifacts when ``state`` already has
+        some.  ``diff.apply`` orders entries as ``entries_at`` does, so
+        both paths produce identical datasets, scoped digests and ETags:
+        patching is a latency optimisation, observable only through
+        ``patched_count``.
         """
         with self._mutex:
-            if state.digest in self._artifacts:
+            artifacts = self._artifacts.get(state.digest)
+            if artifacts is not None:
                 self._artifacts.move_to_end(state.digest)
                 self._events.inc(event="hit")
-                return self._artifacts[state.digest]
+                return artifacts
             parent = self._artifacts.get(parent_state.digest)
-        if parent is None or parent.dataset.engine != "packed":
+        if parent is None:
             return None
         started = self._clock.perf()
-        patched_index = parent.dataset.packed.apply_diff(diff)
-        dataset = VulnerabilityDataset.from_packed_index(
-            patched_index, snapshot=state.snapshot
+        dataset = VulnerabilityDataset(
+            diff.apply(parent.dataset.entries),
+            parent.dataset.os_names,
+            engine=parent.dataset.engine,
+            snapshot=state.snapshot,
         )
-        artifacts = CorpusArtifacts(dataset, state).compile()
+        patched = CorpusArtifacts(dataset, state).compile()
         elapsed = self._clock.perf() - started
+        registered = self._register(patched)
+        if registered is not patched:
+            self._events.inc(event="hit")
+            return registered
+        self._patch_seconds.observe(elapsed)
+        self._record_span("registry.patch", started, elapsed)
+        self._events.inc(event="patch")
+        return patched
+
+    def _register(self, artifacts: CorpusArtifacts) -> CorpusArtifacts:
+        """Register ``artifacts`` unless their digest already has some.
+
+        The first registration wins and is returned: a cold ``get`` that
+        finishes after ``patch`` registered the same digest must not drop
+        the views and scoped digests requests already memoised on the
+        patched artifacts.  Trims the LRU to ``max_datasets``.
+        """
         with self._mutex:
-            existing = self._artifacts.get(state.digest)
-            if existing is not None:
-                self._events.inc(event="hit")
-                return existing
-            self._patch_seconds.observe(elapsed)
-            self._record_span("registry.patch", started, elapsed)
-            self._events.inc(event="patch")
-            self._artifacts[state.digest] = artifacts
-            self._artifacts.move_to_end(state.digest)
+            registered = self._artifacts.setdefault(artifacts.digest, artifacts)
+            self._artifacts.move_to_end(artifacts.digest)
             while len(self._artifacts) > self._max:
                 evicted, _ = self._artifacts.popitem(last=False)
                 self._locks.pop(evicted, None)
-        return artifacts
+        return registered
 
     def clear(self) -> None:
         """Drop every compiled dataset (the benchmark's cold-path reset)."""

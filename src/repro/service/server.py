@@ -770,12 +770,11 @@ class DiversityService:
 
         Drops exactly the response-cache entries whose OS scope the diff
         from the snapshot's parent names (every entry on a first
-        snapshot).  On the ``packed`` engine the same diff also *warms*
-        the registry: :meth:`~repro.service.registry.ArtifactRegistry
-        .patch` derives the new head's index from the parent's by
-        patching only the touched entry columns, so the first request
-        against the new digest skips the full corpus recompile.  Other
-        workers learn of the commit from the ledger alone: their next
+        snapshot).  The same diff also *warms* the registry, on every
+        engine: :meth:`~repro.service.registry.ArtifactRegistry.patch`
+        derives the new head from the cached parent's entries, so the
+        first request against the new digest skips decoding the ledger.
+        Other workers learn of the commit from the ledger alone: their next
         ``current()`` resolves the new head, the touched scopes' digests
         -- and so their cache keys and ETags -- change, and the dead
         entries age out of their LRU.

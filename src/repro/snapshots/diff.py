@@ -15,17 +15,27 @@ added/modified/removed CVE id sets it derives:
   result can differ between the two snapshots, which is exactly the
   predicate the sweep cache's scoped digests and the service's ETags
   enforce mechanically (:func:`repro.snapshots.digests.scope_digest`).
+
+:meth:`SnapshotDiff.apply` replays the diff on the source snapshot's
+entries, which is how the service derives a new head from its parent
+without decoding the ledger again.
 """
 
 from __future__ import annotations
 
+import datetime as _dt
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.models import VulnerabilityEntry
     from repro.snapshots.store import SnapshotRecord
+
+
+def entry_order(entry: "VulnerabilityEntry") -> Tuple[_dt.date, str]:
+    """Sort key of a snapshot's entry list: ``(published, cve_id)``."""
+    return entry.published, entry.cve_id
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,23 @@ class SnapshotDiff:
     def changed(self) -> Tuple[str, ...]:
         """All changed CVE ids (added + modified + removed), sorted."""
         return tuple(sorted({*self.added, *self.modified, *self.removed}))
+
+    def apply(
+        self, entries: Iterable["VulnerabilityEntry"]
+    ) -> List["VulnerabilityEntry"]:
+        """The target snapshot's entries, given the source snapshot's.
+
+        Ordered by :func:`entry_order`, as
+        :meth:`~repro.snapshots.store.SnapshotStore.entries_at` returns
+        them.  Every unchanged entry is the object passed in, so it keeps
+        its memoised :func:`~repro.snapshots.digests.entry_digest`; a
+        modified id missing from ``entries`` is added.
+        """
+        dropped = {*self.modified, *self.removed}
+        result = [entry for entry in entries if entry.cve_id not in dropped]
+        result.extend(self.new_entries.values())
+        result.sort(key=entry_order)
+        return result
 
     # -- blast radius -----------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.snapshots.digests import (
     entry_from_json,
     entry_to_json,
 )
-from repro.snapshots.diff import SnapshotDiff
+from repro.snapshots.diff import SnapshotDiff, entry_order
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (db imports digests)
     from repro.analysis.dataset import VulnerabilityDataset
@@ -269,7 +269,7 @@ class SnapshotStore:
         }
 
     def entries_at(self, snapshot_id: int) -> List["VulnerabilityEntry"]:
-        """The live entries of a snapshot, ordered by (published, cve_id).
+        """The live entries of a snapshot, ordered by :func:`entry_order`.
 
         The ordering matches :meth:`~repro.db.database.VulnerabilityDatabase
         .load_entries`, so a time-travelled entry list is byte-compatible
@@ -282,7 +282,7 @@ class SnapshotStore:
             for row in self._version_rows_at(snapshot_id)
             if not row["deleted"]
         ]
-        entries.sort(key=lambda entry: (entry.published, entry.cve_id))
+        entries.sort(key=entry_order)
         return entries
 
     def dataset_at(

@@ -3,8 +3,7 @@
 The cross-engine behaviour is pinned by ``test_engine_equivalence.py``;
 this file covers the packed-specific machinery: word packing and popcounts
 (including the pre-numpy-2.0 ``unpackbits`` fallback), pickling for the
-process-pool runner, and the incremental :meth:`PackedIndex.apply_diff`
-path with its rebuild fallback.
+process-pool runner, the array APIs and the dense-count fallbacks.
 """
 
 import pickle
@@ -13,13 +12,7 @@ import numpy as np
 import pytest
 
 import repro.analysis.engine as engine_module
-from repro.analysis.engine import (
-    PATCH_REBUILD_FRACTION,
-    PackedIndex,
-    pack_bool_matrix,
-    word_popcounts,
-)
-from repro.snapshots.diff import SnapshotDiff
+from repro.analysis.engine import PackedIndex, pack_bool_matrix, word_popcounts
 from tests.conftest import make_entry
 
 CATALOGUE = ("Debian", "RedHat", "Ubuntu", "OpenBSD", "NetBSD", "FreeBSD")
@@ -39,23 +32,6 @@ def entries():
 @pytest.fixture()
 def index(entries):
     return PackedIndex(entries, CATALOGUE)
-
-
-def _diff(index, added=(), modified=(), removed=()):
-    """A hand-rolled SnapshotDiff from this index's entry set."""
-    by_id = {entry.cve_id: entry for entry in index.entries}
-    return SnapshotDiff(
-        from_snapshot=None,
-        to_snapshot=None,
-        added=tuple(sorted(entry.cve_id for entry in added)),
-        modified=tuple(sorted(entry.cve_id for entry in modified)),
-        removed=tuple(sorted(removed)),
-        old_entries={
-            cve_id: by_id[cve_id]
-            for cve_id in (*[e.cve_id for e in modified], *removed)
-        },
-        new_entries={entry.cve_id: entry for entry in (*added, *modified)},
-    )
 
 
 class TestWordPacking:
@@ -104,7 +80,7 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(index))
         assert clone.os_names == index.os_names
         assert clone.entries == index.entries
-        assert np.array_equal(clone._bool_matrix(), index._bool_matrix())
+        assert np.array_equal(clone._bool, index._bool)
         assert np.array_equal(clone._rows, index._rows)
         assert clone.pair_matrix(CATALOGUE) == index.pair_matrix(CATALOGUE)
         assert clone.k_set_totals(CATALOGUE, 3) == index.k_set_totals(CATALOGUE, 3)
@@ -123,133 +99,6 @@ class TestPickling:
         assert clone.shared_between(("Debian", "RedHat")) == dataset.shared_between(
             ("Debian", "RedHat")
         )
-
-
-class TestApplyDiff:
-    def test_empty_diff_returns_self(self, index):
-        assert index.apply_diff(_diff(index)) is index
-
-    def test_added_modified_removed_columns_match_recompile(self, index, entries):
-        added = make_entry(cve_id="CVE-2005-0009", oses=("NetBSD", "FreeBSD"))
-        modified = make_entry(cve_id="CVE-2005-0002", oses=("Ubuntu",), month=1)
-        patched = index.apply_diff(
-            _diff(index, added=[added], modified=[modified], removed=["CVE-2005-0003"])
-        )
-        final = sorted(
-            [entries[0], modified, entries[3], entries[4], added],
-            key=lambda entry: (entry.published, entry.cve_id),
-        )
-        fresh = PackedIndex(final, CATALOGUE)
-        assert patched.entries == fresh.entries
-        assert np.array_equal(patched._bool_matrix(), fresh._bool_matrix())
-        assert np.array_equal(patched._rows, fresh._rows)
-
-    def test_insertion_reorders_existing_columns(self, index, entries):
-        """An add published before existing entries shifts every bit right."""
-        early = make_entry(cve_id="CVE-2005-0000", oses=("Debian",), month=1)
-        patched = index.apply_diff(_diff(index, added=[early]))
-        fresh = PackedIndex(
-            sorted(
-                [*entries, early],
-                key=lambda entry: (entry.published, entry.cve_id),
-            ),
-            CATALOGUE,
-        )
-        assert patched.entries == fresh.entries
-        assert np.array_equal(patched._rows, fresh._rows)
-        assert int(patched.os_row("Debian")[0]) == 0b100111
-
-    def test_large_blast_radius_falls_back_to_rebuild(self, index, monkeypatch):
-        calls = []
-        original = PackedIndex.__init__
-
-        def spy(self, *args, **kwargs):
-            calls.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PackedIndex, "__init__", spy)
-        removed = [entry.cve_id for entry in index.entries[:3]]
-        patched = index.apply_diff(_diff(index, removed=removed))
-        assert calls, "a >25% diff must recompile from scratch"
-        assert patched.entries == index.entries[3:]
-
-    def test_small_blast_radius_avoids_rebuild(self, monkeypatch):
-        entries = [
-            make_entry(cve_id=f"CVE-2005-{1000 + i}", oses=("Debian",))
-            for i in range(40)
-        ]
-        index = PackedIndex(entries, CATALOGUE)
-        calls = []
-        original = PackedIndex.__init__
-
-        def spy(self, *args, **kwargs):
-            calls.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PackedIndex, "__init__", spy)
-        assert len(index.entries) * PATCH_REBUILD_FRACTION > 1
-        patched = index.apply_diff(_diff(index, removed=[entries[0].cve_id]))
-        assert not calls, "a 1-entry diff must take the column-gather path"
-        assert patched.entries == tuple(entries[1:])
-        assert np.array_equal(
-            patched._rows, PackedIndex(entries[1:], CATALOGUE)._rows
-        )
-
-
-class TestInPlaceWordPatch:
-    """Modification-only diffs must take the word-patch fast path."""
-
-    def test_modification_only_diff_patches_words_in_place(self, index, entries):
-        modified = make_entry(cve_id="CVE-2005-0002", oses=("Ubuntu", "NetBSD"))
-        patched = index.apply_diff(_diff(index, modified=[modified]))
-        # The signature of the fast path: no boolean plane was materialised.
-        assert patched._bool is None
-        fresh = PackedIndex([entries[0], modified, *entries[2:]], CATALOGUE)
-        assert patched.entries == fresh.entries
-        assert np.array_equal(patched._rows, fresh._rows)
-        assert np.array_equal(patched._bool_matrix(), fresh._bool_matrix())
-
-    def test_date_changing_modification_falls_back_to_the_gather(
-        self, index, entries
-    ):
-        moved = make_entry(cve_id="CVE-2005-0002", oses=("Ubuntu",), month=12)
-        patched = index.apply_diff(_diff(index, modified=[moved]))
-        assert patched._bool is not None  # the gather builds the matrix
-        fresh = PackedIndex(
-            sorted(
-                [entries[0], moved, *entries[2:]],
-                key=lambda entry: (entry.published, entry.cve_id),
-            ),
-            CATALOGUE,
-        )
-        assert patched.entries == fresh.entries
-        assert np.array_equal(patched._rows, fresh._rows)
-
-    def test_unknown_modified_id_falls_back_to_the_gather(self, index):
-        stranger = make_entry(cve_id="CVE-2005-9999", oses=("Debian",))
-        diff = SnapshotDiff(
-            from_snapshot=None,
-            to_snapshot=None,
-            added=(),
-            modified=(stranger.cve_id,),
-            removed=(),
-            old_entries={stranger.cve_id: stranger},
-            new_entries={stranger.cve_id: stranger},
-        )
-        patched = index.apply_diff(diff)
-        expected = sorted(
-            [*index.entries, stranger],
-            key=lambda entry: (entry.published, entry.cve_id),
-        )
-        assert patched.entries == tuple(expected)
-
-    def test_patched_index_answers_queries_without_the_matrix(self, index, entries):
-        modified = make_entry(cve_id="CVE-2005-0005", oses=("Debian", "OpenBSD"))
-        patched = index.apply_diff(_diff(index, modified=[modified]))
-        assert patched.shared_count(("Debian", "OpenBSD")) == 1
-        assert patched.pair_matrix(CATALOGUE) == PackedIndex(
-            patched.entries, CATALOGUE
-        ).pair_matrix(CATALOGUE)
 
 
 class TestArrayApis:
