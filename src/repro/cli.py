@@ -501,7 +501,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             feeds=args.feeds,
             request_threads=args.request_threads,
             catalogue=args.catalogue,
-            front_router=args.front_router,
             metrics=args.metrics,
             trace_log=args.trace_log,
             trace_buffer=args.trace_buffer,
@@ -599,7 +598,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
             if args.__dict__["from"] is not None:
                 from_record = _resolve_snapshot(store, args.__dict__["from"])
             elif to_record.parent_digest is not None:
-                from_record = store.by_digest(to_record.parent_digest)
+                from_record = store.parent(to_record)
             else:
                 print(f"snapshot #{to_record.snapshot_id} has no parent; "
                       "pass --from explicitly", file=sys.stderr)
@@ -966,11 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a generated catalogue instead of the calibrated corpus "
         "(scaled:FxR, e.g. scaled:10x10 = 100 OS releases; deterministic "
         "per --seed)",
-    )
-    serve_parser.add_argument(
-        "--front-router", action="store_true",
-        help="route the public port through a stdlib TCP proxy instead of "
-        "SO_REUSEPORT (the automatic fallback where the option is missing)",
     )
     serve_parser.add_argument(
         "--metrics", action=argparse.BooleanOptionalAction, default=True,

@@ -8,9 +8,9 @@ deployment:
 
 * **one public address** -- every worker binds the same ``host:port``
   with ``SO_REUSEPORT`` so the kernel load-balances accepted connections
-  across processes.  Where the option is missing (or ``--front-router``
-  forces it), a tiny stdlib asyncio TCP proxy in the parent process
-  round-robins connections to the workers instead.
+  across processes.  Where the option is missing, a tiny stdlib asyncio
+  TCP proxy in the parent process round-robins connections to the workers
+  instead.
 * **internal listeners** -- every worker also binds a private per-worker
   port.  Metric and trace gathering, job polls forwarded to the worker
   that owns the job, and per-worker health checks travel over these; the
@@ -185,7 +185,7 @@ def worker_main(
 
 
 # ---------------------------------------------------------------------------
-# front-router fallback (platforms without SO_REUSEPORT, or --front-router)
+# front-router fallback (platforms without SO_REUSEPORT)
 # ---------------------------------------------------------------------------
 
 
@@ -338,11 +338,7 @@ class ServiceCluster:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.mode = (
-            "front-router"
-            if config.front_router or not reuseport_available()
-            else "reuseport"
-        )
+        self.mode = "reuseport" if reuseport_available() else "front-router"
         self.processes: List[multiprocessing.process.BaseProcess] = []
         self.worker_configs: List[ServiceConfig] = []
         self.internal_urls: List[str] = []
@@ -365,7 +361,6 @@ class ServiceCluster:
                 port=public_port,
                 shard_index=index,
                 peers=peers,
-                front_router=False,
             )
             self.worker_configs.append(worker_config)
             process = context.Process(

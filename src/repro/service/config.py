@@ -61,8 +61,6 @@ class ServiceConfig:
     #: (``scaled:10x10`` = 100 OS releases); deterministic per ``seed``, so
     #: every worker process rebuilds the identical dataset digest.
     catalogue: Optional[str] = None
-    #: Force the stdlib front-router even where ``SO_REUSEPORT`` exists.
-    front_router: bool = False
     #: This worker's index into ``peers`` (0 when standalone).
     shard_index: int = 0
     #: Internal base URLs of every worker, indexed by shard.

@@ -17,9 +17,11 @@ answer from memory**.  Three pieces deliver it:
   per-digest locks: N concurrent identical requests trigger exactly one
   compile (``compile_count`` counts them, which the concurrency tests
   assert), and an LRU bound keeps at most ``max_datasets`` corpora live
-  across rolling snapshot deltas.  After a delta, :meth:`ArtifactRegistry
-  .patch` derives the new head from its cached parent's entries, on every
-  engine, so the ingesting worker never decodes the ledger for it.
+  across rolling snapshot deltas.  ``get`` is the only place a head is
+  built: a miss whose snapshot's parent is cached derives the head from the
+  parent's entries and a one-link diff (:meth:`ArtifactRegistry.patch`), on
+  every engine and on every worker, so no worker decodes the ledger for a
+  delta it has the parent of; any other miss loads the ledger.
 
 Scoped digests are the content addresses the sweep cache keys on too
 (:func:`repro.snapshots.digests.scope_digest`): the digest of the
@@ -37,7 +39,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.analysis.ksets import KSetAnalysis
@@ -121,10 +123,11 @@ class SnapshotDatasetProvider:
     ingest on this worker, another worker process, ``repro ingest``: the
     ledger is read once per commit, not once per request.  The reader
     never writes, since its own commits would not move its
-    ``data_version``.  ``load`` and ``store()`` read many pages, so they
-    open a fresh connection and close it before returning rather than
-    keep a page cache alive per thread; entries are only loaded when the
-    registry actually needs to compile.
+    ``data_version``.  ``load``, ``diff`` and ``store()`` open a fresh
+    connection and close it before returning rather than keep a page
+    cache alive per thread; the registry asks for a one-link ``diff`` when
+    it can derive a head from a cached parent, and loads entries only when
+    it cannot.
     """
 
     def __init__(
@@ -202,17 +205,19 @@ class SnapshotDatasetProvider:
     def load(self, state: DatasetState) -> VulnerabilityDataset:
         from repro.snapshots.store import SnapshotStore
 
-        database = self._open()
-        try:
-            store = SnapshotStore(database)
-            snapshot_id = (
-                state.snapshot.snapshot_id
-                if state.snapshot is not None
-                else self._resolve(store).snapshot_id
+        with self._open() as database:
+            return SnapshotStore(database).dataset_at(
+                state.snapshot.snapshot_id, engine=self._engine
             )
-            return store.dataset_at(snapshot_id, engine=self._engine)
-        finally:
-            database.close()
+
+    def diff(self, from_state: DatasetState, state: DatasetState) -> SnapshotDiff:
+        """What changed from one snapshot state to another (read as ``load``)."""
+        from repro.snapshots.store import SnapshotStore
+
+        with self._open() as database:
+            return SnapshotStore(database).diff(
+                from_state.snapshot.snapshot_id, state.snapshot.snapshot_id
+            )
 
     def store(self):
         """A fresh (database, SnapshotStore) pair; the caller closes it."""
@@ -358,12 +363,13 @@ class CorpusArtifacts:
 class ArtifactRegistry:
     """Memoizes compiled corpora by dataset digest, one compile per digest.
 
-    ``get(state, loader)`` returns the compiled artifacts for a dataset
-    state, compiling at most once per digest even under concurrent callers:
-    a per-digest lock serialises the compile while other digests proceed in
-    parallel.  ``compile_count`` is the total number of compiles performed
-    -- the concurrency test drives N identical requests through a live
-    server and asserts it stays at one.
+    ``get(state, provider)`` returns the compiled artifacts for a dataset
+    state, building them at most once per digest even under concurrent
+    callers: a per-digest lock serialises the build while other digests
+    proceed in parallel.  ``compile_count`` is the number of heads loaded
+    and compiled from scratch -- the concurrency test drives N identical
+    requests through a live server and asserts it stays at one -- and
+    ``patched_count`` the number derived from a cached parent.
     """
 
     def __init__(
@@ -428,12 +434,15 @@ class ArtifactRegistry:
         with self._mutex:
             return list(self._artifacts)
 
-    def get(
-        self,
-        state: DatasetState,
-        loader: Callable[[DatasetState], VulnerabilityDataset],
-    ) -> CorpusArtifacts:
-        """The compiled artifacts for ``state``, compiling once if needed."""
+    def get(self, state: DatasetState, provider) -> CorpusArtifacts:
+        """The compiled artifacts for ``state``, built once if needed.
+
+        The only place a head is built.  A miss whose snapshot's parent is
+        cached derives the head from it (:meth:`patch`, with the one-link
+        diff ``provider.diff`` reads); any other miss compiles what
+        ``provider.load`` returns.  Either way the per-digest lock is held,
+        so concurrent callers wait for the one build and share its object.
+        """
         with self._mutex:
             artifacts = self._artifacts.get(state.digest)
             if artifacts is not None:
@@ -442,52 +451,55 @@ class ArtifactRegistry:
                 return artifacts
             lock = self._locks.setdefault(state.digest, threading.Lock())
         with lock:
-            # Double-checked: another thread may have compiled while this
-            # one waited on the per-digest lock.
+            # Double-checked: another thread may have built the head while
+            # this one waited on the per-digest lock.
             with self._mutex:
                 artifacts = self._artifacts.get(state.digest)
                 if artifacts is not None:
                     self._events.inc(event="hit")
                     return artifacts
-            started = self._clock.perf()
-            compiled = CorpusArtifacts(loader(state), state).compile()
-            elapsed = self._clock.perf() - started
-            self._compile_seconds.observe(elapsed)
-            self._record_span("registry.compile", started, elapsed)
-            self._events.inc(event="compile")
-            return self._register(compiled)
+                parent = (
+                    self._artifacts.get(state.snapshot.parent_digest)
+                    if state.snapshot is not None
+                    else None
+                )
+            if parent is not None:
+                artifacts = self.patch(
+                    parent, state, provider.diff(parent.state, state)
+                )
+            else:
+                started = self._clock.perf()
+                artifacts = CorpusArtifacts(provider.load(state), state).compile()
+                elapsed = self._clock.perf() - started
+                self._compile_seconds.observe(elapsed)
+                self._record_span("registry.compile", started, elapsed)
+                self._events.inc(event="compile")
+            with self._mutex:
+                self._artifacts[state.digest] = artifacts
+                while len(self._artifacts) > self._max:
+                    evicted, _ = self._artifacts.popitem(last=False)
+                    self._locks.pop(evicted, None)
+            return artifacts
 
     def patch(
         self,
-        parent_state: DatasetState,
+        parent: CorpusArtifacts,
         state: DatasetState,
         diff: SnapshotDiff,
-    ) -> Optional[CorpusArtifacts]:
-        """Derive ``state``'s artifacts from its cached parent's entries.
+    ) -> CorpusArtifacts:
+        """Derive ``state``'s artifacts from its parent's entries.
 
-        The incremental serving path: when a snapshot delta lands and the
-        parent digest's corpus is cached, :meth:`SnapshotDiff.apply
-        <repro.snapshots.diff.SnapshotDiff.apply>` replays ``diff`` on the
-        parent's entries -- every unchanged entry object, with its memoised
-        digest, carries over -- and the new dataset is compiled on the
-        parent's engine and registered under the new digest, so the next
-        request hits warm without decoding the ledger.  Returns ``None``
-        (and the next ``get`` loads from the ledger) when the parent is not
-        cached, and the registered artifacts when ``state`` already has
-        some.  ``diff.apply`` orders entries as ``entries_at`` does, so
-        both paths produce identical datasets, scoped digests and ETags:
-        patching is a latency optimisation, observable only through
-        ``patched_count``.
+        :meth:`SnapshotDiff.apply <repro.snapshots.diff.SnapshotDiff.apply>`
+        replays ``diff`` (parent to ``state``) on the parent's entries --
+        every unchanged entry object, with its memoised digest, carries
+        over -- and the new dataset compiles on the parent's engine, with
+        no decode of the ledger.  ``diff.apply`` orders entries as
+        ``entries_at`` does, so a derived head and a loaded one are
+        identical datasets with identical scoped digests and ETags:
+        deriving is a latency optimisation, observable only through
+        ``patched_count``.  :meth:`get` calls it under the head's lock and
+        registers the result.
         """
-        with self._mutex:
-            artifacts = self._artifacts.get(state.digest)
-            if artifacts is not None:
-                self._artifacts.move_to_end(state.digest)
-                self._events.inc(event="hit")
-                return artifacts
-            parent = self._artifacts.get(parent_state.digest)
-        if parent is None:
-            return None
         started = self._clock.perf()
         dataset = VulnerabilityDataset(
             diff.apply(parent.dataset.entries),
@@ -497,30 +509,10 @@ class ArtifactRegistry:
         )
         patched = CorpusArtifacts(dataset, state).compile()
         elapsed = self._clock.perf() - started
-        registered = self._register(patched)
-        if registered is not patched:
-            self._events.inc(event="hit")
-            return registered
         self._patch_seconds.observe(elapsed)
         self._record_span("registry.patch", started, elapsed)
         self._events.inc(event="patch")
         return patched
-
-    def _register(self, artifacts: CorpusArtifacts) -> CorpusArtifacts:
-        """Register ``artifacts`` unless their digest already has some.
-
-        The first registration wins and is returned: a cold ``get`` that
-        finishes after ``patch`` registered the same digest must not drop
-        the views and scoped digests requests already memoised on the
-        patched artifacts.  Trims the LRU to ``max_datasets``.
-        """
-        with self._mutex:
-            registered = self._artifacts.setdefault(artifacts.digest, artifacts)
-            self._artifacts.move_to_end(artifacts.digest)
-            while len(self._artifacts) > self._max:
-                evicted, _ = self._artifacts.popitem(last=False)
-                self._locks.pop(evicted, None)
-        return registered
 
     def clear(self) -> None:
         """Drop every compiled dataset (the benchmark's cold-path reset)."""

@@ -87,7 +87,6 @@ from repro.service.jobs import Job, JobTable, generating_shard, request_fingerpr
 from repro.service.registry import (
     ArtifactRegistry,
     CorpusArtifacts,
-    DatasetState,
     SnapshotDatasetProvider,
     StaticDatasetProvider,
 )
@@ -257,11 +256,12 @@ class DiversityService:
 
         Cheap when the state is already compiled: one provider ``current()``
         call (a single ledger row for snapshot providers) plus a registry
-        lookup.  A state the registry has never seen compiles exactly once,
-        even under concurrent requests.
+        lookup.  A state the registry has never seen is built exactly once,
+        even under concurrent requests: derived from its cached parent when
+        there is one, loaded otherwise.
         """
         state = self.provider.current()
-        return self.registry.get(state, self.provider.load)
+        return self.registry.get(state, self.provider)
 
     def reset_caches(self) -> None:
         """Drop every compiled dataset and cached response (benchmarks)."""
@@ -697,7 +697,7 @@ class DiversityService:
             if from_spec is not None:
                 from_record = _resolve_snapshot(store, from_spec)
             elif to_record.parent_digest is not None:
-                from_record = store.by_digest(to_record.parent_digest)
+                from_record = store.parent(to_record)
             else:
                 raise BadRequest(
                     f"snapshot #{to_record.snapshot_id} has no parent; "
@@ -770,26 +770,20 @@ class DiversityService:
 
         Drops exactly the response-cache entries whose OS scope the diff
         from the snapshot's parent names (every entry on a first
-        snapshot).  The same diff also *warms* the registry, on every
-        engine: :meth:`~repro.service.registry.ArtifactRegistry.patch`
-        derives the new head from the cached parent's entries, so the
-        first request against the new digest skips decoding the ledger.
+        snapshot).  The registry is left alone: the next request's
+        :meth:`~repro.service.registry.ArtifactRegistry.get` derives the
+        new head from the cached parent, here as on every other worker.
         Other workers learn of the commit from the ledger alone: their next
         ``current()`` resolves the new head, the touched scopes' digests
         -- and so their cache keys and ETags -- change, and the dead
         entries age out of their LRU.
         """
-        if snapshot.parent_digest is None:
+        parent = store.parent(snapshot)
+        if parent is None:
             self.responses.clear()
             return
-        parent = store.by_digest(snapshot.parent_digest)
         diff = store.diff(parent.snapshot_id, snapshot.snapshot_id)
         self.responses.invalidate_scope(diff.affected_os_names())
-        self.registry.patch(
-            DatasetState(digest=parent.digest, snapshot=parent),
-            DatasetState(digest=snapshot.digest, snapshot=snapshot),
-            diff,
-        )
 
     # -- job handlers ---------------------------------------------------------
 

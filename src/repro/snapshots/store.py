@@ -22,7 +22,8 @@ A :class:`SnapshotStore` wraps a :class:`~repro.db.database
   what selective cache invalidation keys off.
 
 Storage is delta-compressed: snapshot ``N`` stores payloads only for the
-entries it changed, so a long chain of small deltas stays small.
+entries it changed, so a long chain of small deltas stays small, and a
+diff reads only the rows of the snapshots it spans.
 """
 
 from __future__ import annotations
@@ -159,6 +160,27 @@ class SnapshotStore:
             raise DatabaseError(f"no snapshot with digest {digest!r}")
         return self._record(row)
 
+    def parent(self, record: SnapshotRecord) -> Optional[SnapshotRecord]:
+        """The snapshot ``record`` was committed on, or ``None`` for a root.
+
+        The newest snapshot *before* ``record`` carrying its parent digest:
+        a ledger that revisits a state (A -> B -> A) holds that digest
+        twice, and only the earlier row is the parent of the middle one.
+        """
+        if record.parent_digest is None:
+            return None
+        row = self._conn.execute(
+            "SELECT * FROM snapshot WHERE digest = ? AND snapshot_id < ?"
+            " ORDER BY snapshot_id DESC LIMIT 1",
+            (record.parent_digest, record.snapshot_id),
+        ).fetchone()
+        if row is None:
+            raise DatabaseError(
+                f"snapshot #{record.snapshot_id}'s parent "
+                f"{record.parent_digest[:12]} is not in the ledger"
+            )
+        return self._record(row)
+
     # -- commit ----------------------------------------------------------------
 
     def commit(
@@ -244,20 +266,32 @@ class SnapshotStore:
 
     # -- time travel ------------------------------------------------------------
 
-    def _version_rows_at(self, snapshot_id: int):
-        """Latest version row per CVE as of ``snapshot_id`` (incl. tombstones)."""
+    def _version_rows_at(
+        self, snapshot_id: int, changed_in: Optional[Tuple[int, int]] = None
+    ):
+        """Latest version row per CVE as of ``snapshot_id`` (incl. tombstones).
+
+        ``changed_in=(low, high)`` keeps only the CVEs with a version row
+        in snapshots ``low + 1 .. high``.
+        """
+        changed = (
+            " AND cve_id IN (SELECT cve_id FROM entry_version"
+            " WHERE snapshot_id > ? AND snapshot_id <= ?)"
+            if changed_in is not None
+            else ""
+        )
         return self._conn.execute(
-            """
+            f"""
             SELECT ev.cve_id, ev.entry_digest, ev.payload, ev.deleted
             FROM entry_version ev
             JOIN (
                 SELECT cve_id, MAX(version_id) AS latest
                 FROM entry_version
-                WHERE snapshot_id <= ?
+                WHERE snapshot_id <= ?{changed}
                 GROUP BY cve_id
             ) last ON last.latest = ev.version_id
             """,
-            (snapshot_id,),
+            (snapshot_id, *(changed_in or ())),
         ).fetchall()
 
     def _state_at(self, snapshot_id: int) -> Dict[str, str]:
@@ -305,18 +339,23 @@ class SnapshotStore:
 
         The diff carries the changed CVE ids, the old/new entry payloads and
         the derived blast radius (affected OS names, pairs, k-sets) consumed
-        by selective cache invalidation and the CLI.
+        by selective cache invalidation, the CLI and the registry's derived
+        heads.  Only CVEs with a version row in the snapshots between the
+        two ends can differ -- a CVE's state as of a snapshot is its latest
+        row -- so only those CVEs' latest rows at each end are read: a
+        one-link diff costs its link's rows, not two full snapshots.
         """
         from_record = self.get(from_id)
         to_record = self.get(to_id)
+        between = (min(from_id, to_id), max(from_id, to_id))
         before = {
             row["cve_id"]: (row["entry_digest"], row["payload"])
-            for row in self._version_rows_at(from_id)
+            for row in self._version_rows_at(from_id, between)
             if not row["deleted"]
         }
         after = {
             row["cve_id"]: (row["entry_digest"], row["payload"])
-            for row in self._version_rows_at(to_id)
+            for row in self._version_rows_at(to_id, between)
             if not row["deleted"]
         }
         added = sorted(set(after) - set(before))

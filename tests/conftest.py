@@ -3,7 +3,8 @@
 The synthetic corpus takes a fraction of a second to build but is used by
 dozens of tests, so it is built once per session.  ``make_entry`` is a small
 factory for hand-crafted vulnerability entries used by the unit tests that
-need precise control over the data.
+need precise control over the data; ``revisiting_ledger`` builds the
+smallest ledger whose parent lookup needs more than the parent digest.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import pytest
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
 from repro.core.models import CVSSVector, VulnerabilityEntry
 from repro.analysis.dataset import VulnerabilityDataset
+from repro.db.database import VulnerabilityDatabase
+from repro.snapshots.store import SnapshotStore
 from repro.synthetic.corpus import SyntheticCorpus, build_corpus
 
 
@@ -42,6 +45,24 @@ def make_entry(
         component_class=component_class,
         validity=validity,
     )
+
+
+def revisiting_ledger(path=":memory:"):
+    """A ledger that revisits a state, A -> B -> A: ``(database, records)``.
+
+    Snapshots #1 and #3 carry one digest, so #2's parent (#1) is not the
+    newest snapshot with #2's ``parent_digest``.  The caller closes the
+    database.
+    """
+    database = VulnerabilityDatabase(path)
+    database.register_os_catalog()
+    store = SnapshotStore(database)
+    records = []
+    for summary in ("The original flaw.", "A revised flaw.", "The original flaw."):
+        database.upsert_entry(make_entry("CVE-2005-0001", summary=summary))
+        records.append(store.commit())
+    assert records[0].digest == records[2].digest != records[1].digest
+    return database, records
 
 
 @pytest.fixture(scope="session")

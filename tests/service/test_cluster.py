@@ -2,7 +2,8 @@
 
 Covers the cluster lifecycle (spawn, per-worker health, clean SIGTERM
 drain), both public-socket modes (``SO_REUSEPORT`` kernel balancing and
-the stdlib front-router proxy), public-vs-single-process byte identity,
+the stdlib front-router proxy, which a platform without ``SO_REUSEPORT``
+gets), public-vs-single-process byte identity,
 and cross-worker freshness: a delta ingested on one worker's internal
 listener makes the other worker, which hears nothing of it, answer stale
 ETags fresh from the shared ledger, and a job submitted on one worker can
@@ -29,6 +30,7 @@ from repro.service import (
     ServiceCluster,
     ServiceConfig,
 )
+from repro.service import cluster as cluster_module
 from repro.snapshots.store import SnapshotStore
 
 from tests.service.conftest import ServiceClient
@@ -154,10 +156,12 @@ class TestJobsAcrossWorkers:
 
 
 class TestFrontRouterMode:
-    def test_forced_front_router_serves_the_public_port(self):
+    def test_without_reuseport_the_proxy_serves_the_public_port(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(cluster_module, "reuseport_available", lambda: False)
         config = ServiceConfig(
-            port=0, workers=2, catalogue=CATALOGUE,
-            front_router=True, drain_grace=5.0,
+            port=0, workers=2, catalogue=CATALOGUE, drain_grace=5.0
         )
         cluster = ServiceCluster(config)
         assert cluster.mode == "front-router"

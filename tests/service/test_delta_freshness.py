@@ -11,6 +11,7 @@ delta that waits out the ledger's write lock answers ``503 busy``.
 from __future__ import annotations
 
 import functools
+import json
 import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ from repro.snapshots.delta import DeltaIngestPipeline
 from repro.snapshots.store import SnapshotStore
 from repro.synthetic.evolution import evolve_corpus
 
+from tests.conftest import revisiting_ledger
 from tests.service.conftest import ServiceClient
 
 WINDOWS = {"Windows2000", "Windows2003", "Windows2008"}
@@ -91,6 +93,36 @@ class TestLedgerEndpoints:
     def test_unknown_snapshot_is_404(self, db_server):
         client, _app, _base = db_server
         assert client.get("/v1/snapshots/999").status == 404
+
+    def test_diff_defaults_to_the_parent_on_a_revisiting_ledger(self, tmp_path):
+        db_path = str(tmp_path / "revisit.db")
+        database, (first, second, _third) = revisiting_ledger(db_path)
+        database.close()
+        app = DiversityService(
+            ServiceConfig(db=db_path), SnapshotDatasetProvider(db_path)
+        )
+        try:
+            response = app.dispatch(
+                HttpRequest(
+                    method="GET", path="/v1/snapshots/diff",
+                    query={"to": ("2",)}, headers={},
+                )
+            )
+        finally:
+            app.shutdown()
+        assert response.status == 200, response.body
+        payload = json.loads(response.body)
+        assert payload["from_snapshot"]["snapshot_id"] == first.snapshot_id
+        assert payload["to_snapshot"]["snapshot_id"] == second.snapshot_id
+        assert payload["modified"] == ["CVE-2005-0001"]
+
+    def test_diff_of_a_root_needs_from(self, db_server):
+        client, _app, base = db_server
+        response = client.get("/v1/snapshots/diff")
+        assert response.status == 400
+        error = response.json()["error"]
+        assert f"#{base.snapshot_id} has no parent" in error["message"]
+        assert error["detail"] == {"parameter": "from"}
 
     def test_healthz_names_the_snapshot(self, db_server):
         client, _app, base = db_server
@@ -283,8 +315,8 @@ class TestEtagFreshnessAcrossDeltas:
             body=feed.read_bytes(),
         )
         client.get("/v1/catalogue")
-        # The ingest derived the new head from the cached parent; serving
-        # it loaded nothing from the ledger.
+        # The read derived the new head from the cached parent; serving it
+        # loaded nothing from the ledger.
         assert app.registry.compile_count == 1
         assert app.registry.patched_count == 1
         assert len(app.registry) == 2  # the old snapshot stays pinnable

@@ -40,8 +40,8 @@ class TestArtifactRegistry:
         provider = _provider(_entries())
         registry = ArtifactRegistry()
         state = provider.current()
-        first = registry.get(state, provider.load)
-        second = registry.get(state, provider.load)
+        first = registry.get(state, provider)
+        second = registry.get(state, provider)
         assert first is second
         assert registry.compile_count == 1
         assert registry.hit_count == 1
@@ -50,8 +50,8 @@ class TestArtifactRegistry:
         one = _provider(_entries())
         two = _provider(_entries(("Ubuntu", "NetBSD")))
         registry = ArtifactRegistry()
-        registry.get(one.current(), one.load)
-        registry.get(two.current(), two.load)
+        registry.get(one.current(), one)
+        registry.get(two.current(), two)
         assert registry.compile_count == 2
         assert len(registry) == 2
 
@@ -62,10 +62,10 @@ class TestArtifactRegistry:
         ]
         registry = ArtifactRegistry(max_datasets=2)
         for provider in providers:
-            registry.get(provider.current(), provider.load)
+            registry.get(provider.current(), provider)
         assert len(registry) == 2
         # The first provider's digest was evicted; using it again recompiles.
-        registry.get(providers[0].current(), providers[0].load)
+        registry.get(providers[0].current(), providers[0])
         assert registry.compile_count == 4
 
     def test_rejects_empty_capacity(self):

@@ -1,14 +1,15 @@
-"""Incremental registry updates: derived and recompiled corpora are twins.
+"""Derived heads: a head built from its cached parent is a cold head's twin.
 
-When a delta lands, the ingesting worker derives the new head from its
-cached parent (:meth:`~repro.service.registry.ArtifactRegistry.patch`):
-:meth:`~repro.snapshots.diff.SnapshotDiff.apply` replays the diff on the
-parent's entries and the dataset compiles on the parent's engine, with no
-decode of the ledger.  The result must be *indistinguishable to clients*
-from a cold ``dataset_at`` load -- identical entries in identical order,
-scoped digests, ETags and response payloads -- on every engine.  These
-tests pin that at the registry level and over live HTTP, and pin that the
-first registration of a digest wins when a cold load races the patch.
+:meth:`~repro.service.registry.ArtifactRegistry.get` is the only place a
+head is built.  On a miss whose snapshot's parent is cached it derives the
+head (:meth:`~repro.service.registry.ArtifactRegistry.patch`):
+:meth:`~repro.snapshots.diff.SnapshotDiff.apply` replays the one-link diff
+on the parent's entries and the dataset compiles on the parent's engine,
+with no decode of the ledger.  The result must be *indistinguishable to
+clients* from a cold ``dataset_at`` load -- identical entries in identical
+order, scoped digests, ETags and response payloads -- on every engine.
+These tests pin that at the registry level and over live HTTP, and pin
+that concurrent readers of a new head share one derivation.
 """
 
 from __future__ import annotations
@@ -76,153 +77,113 @@ def _state(record):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-class TestRegistryPatch:
-    def test_patched_artifacts_equal_recompiled_artifacts(self, snapshot_db, engine):
-        db_path, base, head, diff = snapshot_db
+class TestDerivedHead:
+    def test_a_head_with_a_cached_parent_equals_a_cold_head(
+        self, snapshot_db, engine
+    ):
+        db_path, base, head, _diff = snapshot_db
         provider = SnapshotDatasetProvider(db_path, engine=engine)
         registry = ArtifactRegistry()
-        parent = registry.get(_state(base), provider.load)
-        patched = registry.patch(_state(base), _state(head), diff)
-        assert patched is not None
-        assert registry.patched_count == 1
-        assert patched.dataset.engine == engine
+        parent = registry.get(_state(base), provider)
+        derived = registry.get(_state(head), provider)
+        assert (registry.patched_count, registry.compile_count) == (1, 1)
+        assert derived.dataset.engine == engine
 
-        recompiled = ArtifactRegistry().get(_state(head), provider.load)
-        assert patched.dataset.entries == recompiled.dataset.entries
-        assert patched.dataset.snapshot == recompiled.dataset.snapshot == head
-        assert patched.digest == recompiled.digest == head.digest
-        assert patched.dataset.digest() == head.digest
+        cold = ArtifactRegistry().get(_state(head), provider)
+        assert derived.dataset.entries == cold.dataset.entries
+        assert derived.dataset.snapshot == cold.dataset.snapshot == head
+        assert derived.digest == cold.digest == head.digest
+        assert derived.dataset.digest() == head.digest
         # Identical ETag material: every scoped digest matches on both paths.
         for configuration in ServerConfiguration:
             for scope in SCOPES:
-                assert patched.scope_digest(scope, configuration) == (
-                    recompiled.scope_digest(scope, configuration)
+                assert derived.scope_digest(scope, configuration) == (
+                    cold.scope_digest(scope, configuration)
                 ), (scope, configuration)
             # Identical payload material: the derived analyses agree too.
-            assert patched.pair_matrix(configuration) == recompiled.pair_matrix(
+            assert derived.pair_matrix(configuration) == cold.pair_matrix(
                 configuration
             )
             for pair in (("Debian", "RedHat"), ("OpenBSD", "NetBSD")):
-                assert patched.shared_count(pair, configuration) == (
-                    recompiled.shared_count(pair, configuration)
+                assert derived.shared_count(pair, configuration) == (
+                    cold.shared_count(pair, configuration)
                 )
         # The parent's scoped digests differ wherever the delta hit.
-        assert parent.scope_digest(None) != patched.scope_digest(None)
+        assert parent.scope_digest(None) != derived.scope_digest(None)
 
-    def test_patch_reuses_the_parents_unchanged_entries(self, snapshot_db, engine):
+    def test_a_derived_head_is_served_from_the_registry(self, snapshot_db, engine):
+        db_path, base, head, _diff = snapshot_db
+        provider = SnapshotDatasetProvider(db_path, engine=engine)
+        registry = ArtifactRegistry()
+        registry.get(_state(base), provider)
+        derived = registry.get(_state(head), provider)
+        assert registry.get(_state(head), provider) is derived
+        assert registry.hit_count == 1
+        assert (registry.patched_count, registry.compile_count) == (1, 1)
+
+    def test_a_head_without_a_cached_parent_loads_cold(self, snapshot_db, engine):
+        db_path, _base, head, _diff = snapshot_db
+        provider = SnapshotDatasetProvider(db_path, engine=engine)
+        registry = ArtifactRegistry()
+        loaded = registry.get(_state(head), provider)
+        assert (registry.patched_count, registry.compile_count) == (0, 1)
+        assert registry.digests() == [head.digest]
+        assert loaded.dataset.entries == provider.load(_state(head)).entries
+
+    def test_a_derived_head_reuses_the_parents_unchanged_entries(
+        self, snapshot_db, engine
+    ):
         db_path, base, head, diff = snapshot_db
         provider = SnapshotDatasetProvider(db_path, engine=engine)
         registry = ArtifactRegistry()
-        parent = registry.get(_state(base), provider.load)
-        patched = registry.patch(_state(base), _state(head), diff)
+        parent = registry.get(_state(base), provider)
+        derived = registry.get(_state(head), provider)
         by_id = {entry.cve_id: entry for entry in parent.dataset.entries}
         changed = set(diff.changed)
         reused = [
             entry
-            for entry in patched.dataset.entries
+            for entry in derived.dataset.entries
             if entry.cve_id not in changed
         ]
         assert len(reused) == len(by_id) - len(diff.modified) - len(diff.removed)
         assert all(entry is by_id[entry.cve_id] for entry in reused)
 
-    def test_patched_digest_is_served_from_the_registry(self, snapshot_db, engine):
-        db_path, base, head, diff = snapshot_db
-        provider = SnapshotDatasetProvider(db_path, engine=engine)
-        registry = ArtifactRegistry()
-        registry.get(_state(base), provider.load)
-        patched = registry.patch(_state(base), _state(head), diff)
-        assert registry.get(_state(head), provider.load) is patched
-        assert registry.compile_count == 1  # the base compile only
-
-    def test_patch_requires_a_cached_parent(self, snapshot_db, engine):
-        db_path, base, head, diff = snapshot_db
-        registry = ArtifactRegistry()
-        assert registry.patch(_state(base), _state(head), diff) is None
-        assert registry.patched_count == 0
-        assert len(registry) == 0
-
-    def test_patch_returns_existing_artifacts_when_already_compiled(
+    def test_a_derived_head_keeps_the_registry_to_its_bound(
         self, snapshot_db, engine
     ):
-        db_path, base, head, diff = snapshot_db
-        provider = SnapshotDatasetProvider(db_path, engine=engine)
-        registry = ArtifactRegistry()
-        registry.get(_state(base), provider.load)
-        compiled = registry.get(_state(head), provider.load)
-        assert registry.patch(_state(base), _state(head), diff) is compiled
-        assert registry.patched_count == 0
-
-    def test_patch_trims_the_registry_to_its_bound(self, snapshot_db, engine):
-        db_path, base, head, diff = snapshot_db
+        db_path, base, head, _diff = snapshot_db
         provider = SnapshotDatasetProvider(db_path, engine=engine)
         registry = ArtifactRegistry(max_datasets=1)
-        registry.get(_state(base), provider.load)
-        registry.patch(_state(base), _state(head), diff)
+        registry.get(_state(base), provider)
+        registry.get(_state(head), provider)
+        assert registry.patched_count == 1
         assert registry.digests() == [head.digest]
 
-    def test_a_cold_get_finishing_after_patch_keeps_the_patched_artifacts(
-        self, snapshot_db, engine
-    ):
-        """The first registration of a digest wins.
 
-        A reader sees the new head through ``PRAGMA data_version`` while
-        the ingest thread is still diffing, so its cold load can finish
-        after ``patch`` registered the head; it must not replace the
-        patched artifacts and the memos requests already made on them.
-        """
-        db_path, base, head, diff = snapshot_db
-        provider = SnapshotDatasetProvider(db_path, engine=engine)
-        registry = ArtifactRegistry()
-        registry.get(_state(base), provider.load)
-        loading, release = threading.Event(), threading.Event()
-
-        def blocked_loader(state):
-            loading.set()
-            assert release.wait(30)
-            return provider.load(state)
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            cold = pool.submit(registry.get, _state(head), blocked_loader)
-            assert loading.wait(30)
-            patched = registry.patch(_state(base), _state(head), diff)
-            assert patched is not None
-            scoped = patched.scope_digest(("Debian", "OpenBSD"))
-            release.set()
-            assert cold.result(timeout=60) is patched
-        assert registry.get(_state(head), provider.load) is patched
-        assert patched.scope_digest(("Debian", "OpenBSD")) == scoped
-        assert registry.patched_count == 1
-        assert registry.compile_count == 2  # the base and the cold load
-        assert len(registry) == 2
-
-
-def test_racing_gets_and_a_patch_share_one_registration(snapshot_db):
-    """Eight cold gets and a patch of one head, released together under a
-    1 us switch interval: every caller gets the one registered object."""
-    db_path, base, head, diff = snapshot_db
+def test_racing_gets_of_a_new_head_share_one_derivation(snapshot_db):
+    """Eight gets of a new head, released together under a 1 us switch
+    interval: one derivation, no extra compile, one object for all."""
+    db_path, base, head, _diff = snapshot_db
     provider = SnapshotDatasetProvider(db_path)
     registry = ArtifactRegistry()
-    registry.get(_state(base), provider.load)
-    start = threading.Barrier(9)
+    registry.get(_state(base), provider)
+    start = threading.Barrier(8)
 
     def get():
         start.wait(30)
-        return registry.get(_state(head), provider.load)
-
-    def patch():
-        start.wait(30)
-        return registry.patch(_state(base), _state(head), diff)
+        return registry.get(_state(head), provider)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=9) as pool:
-            futures = [pool.submit(get) for _ in range(8)] + [pool.submit(patch)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(get) for _ in range(8)]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert all(result is results[0] for result in results)
-    assert registry.get(_state(head), provider.load) is results[0]
+    assert (registry.patched_count, registry.compile_count) == (1, 1)
+    assert registry.get(_state(head), provider) is results[0]
     assert len(registry) == 2
 
 
@@ -250,7 +211,7 @@ class TestPatchedServiceOverHttp:
         finally:
             service.stop(drain_grace=30.0)
 
-    def test_delta_ingest_patches_and_serves_cold_server_bytes(
+    def test_the_first_read_after_a_delta_derives_cold_server_bytes(
         self, db_server, corpus, tmp_path
     ):
         client, app = db_server
@@ -266,13 +227,13 @@ class TestPatchedServiceOverHttp:
             headers={"Content-Type": "application/xml"},
             body=feed.read_bytes(),
         ).status == 200
-        # The ingest handler derived the new head from the parent...
-        assert app.registry.patched_count == 1
+        # The ingest leaves the registry alone...
+        assert app.registry.patched_count == 0
         after = {path: client.get(path) for path in self.PATHS}
         assert all(response.status == 200 for response in after.values())
         assert after["/v1/matrix/pairs"].etag != before.etag
-        # ...so serving it never loaded the ledger again.
-        assert app.registry.compile_count == 1
+        # ...and the first read derived the new head from the parent,
+        # without loading the ledger again.
         registry = client.get("/healthz").json()["registry"]
         assert (registry["patches"], registry["compiles"]) == (1, 1)
 

@@ -5,7 +5,8 @@ N-worker fleet returns the bytes (and ETags) a single process returns,
 without ever asking a peer -- and uses its peers only for the cluster
 chores: metric gathering and forwarding a job poll to the worker that
 generated the id.  A delta needs no peer call at all: workers over one
-ledger learn of it from the ledger head.  Peers here are recording
+ledger learn of it from the ledger head, and each derives the new head
+from the parent it has cached.  Peers here are recording
 stand-ins for the internal listeners, so every call a worker makes to
 them is visible to the test; the live-process paths are covered by
 ``test_cluster.py``.
@@ -384,6 +385,8 @@ class TestLedgerOnlyFreshness:
         assert fresh.status == 200
         assert fresh.headers["ETag"] != debian.headers["ETag"]
         assert json.loads(fresh.body)["dataset"]["snapshot_id"] == head["snapshot_id"]
+        # It derived the new head from the parent it had cached.
+        assert (other.registry.compile_count, other.registry.patched_count) == (1, 1)
         revalidated = _get(
             other, "/v1/shared", self.WINDOWS,
             headers={"if-none-match": windows.headers["ETag"]},

@@ -7,7 +7,10 @@ bare commit, reads of ``head()`` and ``list()`` through the other, and a
 checkout of a recorded snapshot.  Whatever the interleaving, the ledger
 stays one chain -- each snapshot's ``parent_digest`` is its predecessor's
 digest, so there are no forks -- and the head's dataset digests to the
-head's recorded digest.
+head's recorded digest, and each snapshot's parent lookup names the row
+before it -- with three CVEs the ledger often revisits a state, so one
+digest names several rows.  A checkout also diffs a random recorded pair,
+in either direction and across any number of links, and replays the diff.
 """
 
 from __future__ import annotations
@@ -107,19 +110,36 @@ class LedgerMachine(RuleBasedStateMachine):
         assert store.head() == (ledger[-1] if ledger else None)
         assert ledger == self.pipelines[1 - reader].store.list()
 
-    @rule(reader=_connection, position=st.integers(min_value=0))
-    def checkout(self, reader, position):
+    @rule(
+        reader=_connection,
+        position=st.integers(min_value=0),
+        other=st.integers(min_value=0),
+    )
+    def checkout(self, reader, position, other):
         store = self.pipelines[reader].store
         ledger = store.list()
         if ledger:
             record = ledger[position % len(ledger)]
             assert store.dataset_at(record.snapshot_id).digest() == record.digest
+            # Any recorded pair, either direction, across any number of
+            # links: the diff replays one snapshot's entries into the other's.
+            target = ledger[other % len(ledger)]
+            diff = store.diff(record.snapshot_id, target.snapshot_id)
+            assert diff.apply(store.entries_at(record.snapshot_id)) == (
+                store.entries_at(target.snapshot_id)
+            )
 
     @invariant()
     def one_chain(self):
-        ledger = self.pipelines[0].store.list()
+        store = self.pipelines[0].store
+        ledger = store.list()
         predecessors = [None] + [record.digest for record in ledger]
         assert [record.parent_digest for record in ledger] == predecessors[
+            : len(ledger)
+        ]
+        # The parent lookup names the row before, even where a revisited
+        # state gives a later row the parent's digest too.
+        assert [store.parent(record) for record in ledger] == [None, *ledger][
             : len(ledger)
         ]
         # A commit that changes nothing returns the head: no repeated state.

@@ -1,5 +1,6 @@
 """Snapshot ledger: commits, chaining, time travel, diffs, checkout."""
 
+import dataclasses
 import sqlite3
 
 import pytest
@@ -12,7 +13,7 @@ from repro.snapshots.digests import dataset_digest_of
 from repro.snapshots.export import entry_to_raw, write_snapshot_feeds
 from repro.snapshots.store import SnapshotStore
 from repro.synthetic.evolution import evolve_corpus
-from tests.conftest import make_entry
+from tests.conftest import make_entry, revisiting_ledger
 
 
 @pytest.fixture()
@@ -97,6 +98,23 @@ class TestCommit:
     def test_empty_store_has_no_head(self, store):
         assert store.head() is None
         assert store.list() == []
+
+    def test_parent_is_the_row_committed_before(self):
+        database, (first, second, third) = revisiting_ledger()
+        store = SnapshotStore(database)
+        assert store.parent(first) is None
+        # #1 and #3 share a digest: the newest match (#3) is not #2's parent.
+        assert store.by_digest(second.parent_digest) == third
+        assert store.parent(second) == first
+        assert store.parent(third) == second
+        database.close()
+
+    def test_a_parent_missing_from_the_ledger_raises(self, store):
+        _fill(store, make_entry())
+        record = store.commit()
+        orphan = dataclasses.replace(record, snapshot_id=2, parent_digest="f" * 64)
+        with pytest.raises(DatabaseError, match="not in the ledger"):
+            store.parent(orphan)
 
 
 class TestCommitTransaction:
@@ -218,6 +236,18 @@ class TestDiff:
         assert ("Debian", "Solaris") not in diff.affected_pairs()
         assert diff.touches_group(("Debian", "Ubuntu")) is True
         assert diff.touches_group(("Ubuntu", "FreeBSD")) is False
+
+    def test_rows_that_cancel_out_inside_the_span_are_no_change(self):
+        database, (first, second, third) = revisiting_ledger()
+        store = SnapshotStore(database)
+        # #2 and #3 both hold a version row of the CVE, yet #1 and #3 are
+        # one state.
+        assert store.diff(first.snapshot_id, third.snapshot_id).is_empty
+        assert store.diff(third.snapshot_id, first.snapshot_id).is_empty
+        assert store.diff(second.snapshot_id, third.snapshot_id).modified == (
+            "CVE-2005-0001",
+        )
+        database.close()
 
     def test_empty_diff(self, store):
         _fill(store, make_entry())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import revisiting_ledger
 
 
 class TestParser:
@@ -249,6 +250,17 @@ class TestIngestAndSnapshotCommands:
         assert "snapshot #1" in out and "-> #2" in out
         assert "affected OSes:" in out
         assert "~ CVE-" in out
+
+    def test_snapshot_diff_defaults_to_the_parent_on_a_revisiting_ledger(
+        self, tmp_path, capsys
+    ):
+        db_path = tmp_path / "revisit.db"
+        database, (first, second, _third) = revisiting_ledger(db_path)
+        database.close()
+        assert main(["--db", str(db_path), "snapshot", "diff", "--to", "2"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"snapshot #1 ({first.short_digest}) -> #2 ({second.short_digest})"
+        )
 
     def test_snapshot_diff_on_rootless_head_fails(self, ingested_db, capsys):
         assert main(["--db", str(ingested_db), "snapshot", "diff"]) == 2
