@@ -60,6 +60,10 @@ class ServiceTimeline:
     #: this is not reset by proactive recovery, so it is the right quantity
     #: for damage statistics under a ``recovery_interval``.
     peak_compromised: int = 0
+    #: ``reach_times[k - 1]`` is when the compromised count first reached
+    #: ``k``, for ``k`` up to ``peak_compromised``: the quorum-free record
+    #: :func:`repro.itsys.simulation.result_from_tallies` scores.
+    reach_times: List[float] = field(default_factory=list)
 
     @property
     def survived(self) -> bool:
@@ -126,8 +130,13 @@ class BFTService:
         agreed log); ``recovery_interval`` optionally performs proactive
         recovery of all compromised replicas at that period.
         """
+        # Replicas compromised before the campaign reached their counts when
+        # they fell.
+        already = sorted(
+            replica.compromised_at for replica in self.group.compromised_replicas()
+        )
         timeline = ServiceTimeline(
-            state=self.state(), peak_compromised=self.group.compromised_count()
+            state=self.state(), peak_compromised=len(already), reach_times=already
         )
         events: List[Tuple[float, int, str, object]] = []
         for exploit in exploits:
@@ -155,6 +164,9 @@ class BFTService:
                     timeline.compromised_events.append((time, exploit.cve_id, newly))
                     count = self.group.compromised_count()
                     if count > timeline.peak_compromised:
+                        timeline.reach_times.extend(
+                            [time] * (count - timeline.peak_compromised)
+                        )
                         timeline.peak_compromised = count
                 if (
                     self.group.safety_violated

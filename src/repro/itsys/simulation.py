@@ -42,15 +42,24 @@ back without changing a single bit of the result.  That is the contract of
 the partial-run API consumed by :mod:`repro.runner`:
 
 * :meth:`CompromiseSimulation.run_range` executes runs ``[run_start,
-  run_stop)`` and returns a :class:`RunRangeTallies`;
+  run_stop)`` and returns a :class:`RunRangeTallies`: for each run, the
+  times the compromised count first reached 1, 2, … up to the run's peak;
 * :func:`merge_run_ranges` merges partial tallies **order-independently**
   (partials are sorted by ``run_start`` before concatenation, so any
   completion order of parallel workers yields the same merged value) and
   rejects gaps and overlaps;
-* :func:`result_from_tallies` turns a complete ``[0, runs)`` tally into the
-  same :class:`SimulationResult` that :meth:`run_configuration` builds --
-  in fact ``run_configuration`` is implemented on top of these primitives,
-  so the single-process and merged paths cannot drift apart.
+* :func:`result_from_tallies` scores a complete ``[0, runs)`` tally under
+  one quorum model into the same :class:`SimulationResult` that
+  :meth:`run_configuration` builds -- in fact ``run_configuration`` is
+  implemented on top of these primitives, so the single-process and merged
+  paths cannot drift apart.
+
+The event loop never reads the quorum model: which replicas fall, and when,
+does not depend on it; only the scoring does (safety is lost once the count
+exceeds ``f``, liveness once fewer than a quorum stay correct).  So one
+simulated run range scores under every quorum model, and
+:class:`~repro.runner.runner.GridRunner` simulates the cells of a sweep that
+differ only in their quorum model once.
 
 Scenario knobs beyond the paper's Poisson attacker: a Weibull *aging*
 inter-arrival process (``arrival="aging"``), a *smart* adversary that opens
@@ -201,40 +210,37 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class RunRangeTallies:
-    """Raw tallies of the runs ``[run_start, run_stop)`` of one campaign.
+    """What happened in the runs ``[run_start, run_stop)`` of one campaign.
 
     This is the *mergeable* partial result of a Monte-Carlo campaign: run
     ``i`` draws only from ``random.Random(seed + 7919 * i)``, so disjoint
     ranges are statistically and bit-wise independent and a full campaign is
-    exactly the concatenation of its ranges in run order.  Per-run sequences
-    (``compromised_counts``, ``violation_times``) are stored in run order so
-    that downstream means iterate the same floats in the same order as a
-    single-process campaign.
+    exactly the concatenation of its ranges in run order.
+
+    The record is quorum-free: ``reach_times[r][k - 1]`` is the time the
+    compromised count of the range's ``r``-th run first reached ``k``, for
+    ``k`` up to that run's peak (so ``len(reach_times[r])`` *is* the peak,
+    at most the group size).  :func:`result_from_tallies` scores it under a
+    quorum model; runs are kept in run order so that the scored means
+    iterate the same floats in the same order as a single-process campaign.
     """
 
     run_start: int
     run_stop: int
-    violations: int
-    liveness_losses: int
-    #: Peak simultaneously-compromised count of each run, in run order.
-    compromised_counts: Tuple[int, ...]
-    #: Safety-violation time of each violating run, in run order.
-    violation_times: Tuple[float, ...]
+    #: Per run, in run order: when the compromised count first reached
+    #: 1, 2, … up to the run's peak.
+    reach_times: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         if not 0 <= self.run_start < self.run_stop:
             raise SimulationError(
                 f"invalid run range [{self.run_start}, {self.run_stop})"
             )
-        if len(self.compromised_counts) != self.runs:
+        if len(self.reach_times) != self.runs:
             raise SimulationError(
                 f"range [{self.run_start}, {self.run_stop}) carries "
-                f"{len(self.compromised_counts)} per-run counts, expected {self.runs}"
+                f"{len(self.reach_times)} per-run records, expected {self.runs}"
             )
-        if not 0 <= self.violations <= self.runs:
-            raise SimulationError("violation count exceeds the range size")
-        if len(self.violation_times) != self.violations:
-            raise SimulationError("one violation time is required per violation")
 
     @property
     def runs(self) -> int:
@@ -290,56 +296,61 @@ def merge_run_ranges(partials: Sequence[RunRangeTallies]) -> RunRangeTallies:
         )
     except ValueError as error:
         raise SimulationError(f"run ranges: {error}") from error
-    compromised_counts: List[int] = []
-    violation_times: List[float] = []
-    violations = 0
-    liveness_losses = 0
+    reach_times: List[Tuple[float, ...]] = []
     for tallies in ordered:
-        violations += tallies.violations
-        liveness_losses += tallies.liveness_losses
-        compromised_counts.extend(tallies.compromised_counts)
-        violation_times.extend(tallies.violation_times)
+        reach_times.extend(tallies.reach_times)
     return RunRangeTallies(
         run_start=ordered[0].run_start,
         run_stop=ordered[-1].run_stop,
-        violations=violations,
-        liveness_losses=liveness_losses,
-        compromised_counts=tuple(compromised_counts),
-        violation_times=tuple(violation_times),
+        reach_times=tuple(reach_times),
     )
 
 
 def result_from_tallies(
-    name: str, os_names: Sequence[str], tallies: RunRangeTallies
+    name: str,
+    os_names: Sequence[str],
+    tallies: RunRangeTallies,
+    quorum_model: str = "3f+1",
 ) -> SimulationResult:
-    """Build the campaign :class:`SimulationResult` from complete tallies.
+    """Score complete tallies under ``quorum_model`` into a campaign result.
 
-    ``tallies`` must cover a full campaign (``run_start == 0``); partial
-    ranges must be merged first.  :meth:`CompromiseSimulation
-    .run_configuration` routes through this function, so results assembled
-    from merged parallel chunks are bit-for-bit identical to single-process
-    campaigns.
+    A run violates safety at the first time its compromised count reached
+    ``f + 1``, and loses liveness iff its peak reached ``n - quorum + 1``
+    (fewer than a quorum of correct replicas left); ``n``, ``f`` and the
+    quorum are those of the :class:`~repro.itsys.replica.ReplicaGroup` over
+    ``os_names``.  ``tallies`` must cover a full campaign
+    (``run_start == 0``); partial ranges must be merged first.
+    :meth:`CompromiseSimulation.run_configuration` routes through this
+    function, so results assembled from merged parallel chunks are
+    bit-for-bit identical to single-process campaigns.
     """
     if tallies.run_start != 0:
         raise SimulationError(
             f"a campaign result needs tallies starting at run 0, "
             f"got run {tallies.run_start}; merge the partial ranges first"
         )
+    group = ReplicaGroup(list(os_names), quorum_model=quorum_model, catalogued=False)
+    f = group.f
+    tolerated = group.n - group.quorum_size  # compromised replicas liveness survives
     runs = tallies.runs
+    peaks = [len(reached) for reached in tallies.reach_times]
+    violation_times = [
+        reached[f] for reached in tallies.reach_times if len(reached) > f
+    ]
+    violations = len(violation_times)
+    liveness_losses = sum(1 for peak in peaks if peak > tolerated)
     return SimulationResult(
         name=name,
         os_names=tuple(os_names),
         runs=runs,
-        safety_violation_probability=tallies.violations / runs,
-        mean_compromised=statistics.fmean(tallies.compromised_counts),
+        safety_violation_probability=violations / runs,
+        mean_compromised=statistics.fmean(peaks),
         mean_time_to_violation=(
-            statistics.fmean(tallies.violation_times)
-            if tallies.violation_times
-            else None
+            statistics.fmean(violation_times) if violation_times else None
         ),
-        liveness_loss_probability=tallies.liveness_losses / runs,
-        safety_violation_ci=wilson_interval(tallies.violations, runs),
-        liveness_loss_ci=wilson_interval(tallies.liveness_losses, runs),
+        liveness_loss_probability=liveness_losses / runs,
+        safety_violation_ci=wilson_interval(violations, runs),
+        liveness_loss_ci=wilson_interval(liveness_losses, runs),
     )
 
 
@@ -406,7 +417,9 @@ class CompromiseSimulation:
             self._pool = pool
         return self._pool
 
-    def _group(self, os_names: Sequence[str], quorum_model: str) -> ReplicaGroup:
+    def _group(
+        self, os_names: Sequence[str], quorum_model: str = "3f+1"
+    ) -> ReplicaGroup:
         return ReplicaGroup(
             list(os_names), quorum_model=quorum_model, catalogued=self._catalogued
         )
@@ -450,7 +463,6 @@ class CompromiseSimulation:
             runs,
             exploit_rate=exploit_rate,
             horizon=horizon,
-            quorum_model=quorum_model,
             targeted=targeted,
             recovery_interval=recovery_interval,
             arrival=arrival,
@@ -458,7 +470,7 @@ class CompromiseSimulation:
             smart=smart,
             scenario=scenario,
         )
-        return result_from_tallies(name, os_names, tallies)
+        return result_from_tallies(name, os_names, tallies, quorum_model)
 
     def run_range(
         self,
@@ -467,7 +479,6 @@ class CompromiseSimulation:
         run_stop: int,
         exploit_rate: float = 1.0,
         horizon: float = 30.0,
-        quorum_model: str = "3f+1",
         targeted: bool = True,
         recovery_interval: Optional[float] = None,
         arrival: str = "poisson",
@@ -482,7 +493,8 @@ class CompromiseSimulation:
         process pool, say), executing them in any order and merging with
         :func:`merge_run_ranges` reproduces the single-range campaign bit
         for bit.  Campaign keyword arguments mean the same as in
-        :meth:`run_configuration`.
+        :meth:`run_configuration`; there is no quorum model, because the
+        runs do not depend on it (:func:`result_from_tallies` applies it).
         """
         if not 0 <= run_start < run_stop:
             raise SimulationError(
@@ -502,24 +514,17 @@ class CompromiseSimulation:
         if recovery_interval is not None and recovery_interval <= 0:
             raise SimulationError("the recovery interval must be positive or None")
         if scenario is None and self._engine == "naive":
-            tallies = self._campaign_tallies_naive(
+            reach_times = self._campaign_tallies_naive(
                 os_names, run_start, run_stop, exploit_rate, horizon,
-                quorum_model, targeted, recovery_interval, arrival, shape, smart,
+                targeted, recovery_interval, arrival, shape, smart,
             )
         else:
-            tallies = self._campaign_tallies(
+            reach_times = self._campaign_tallies(
                 os_names, run_start, run_stop, exploit_rate, horizon,
-                quorum_model, targeted, recovery_interval, arrival, shape,
-                smart, scenario,
+                targeted, recovery_interval, arrival, shape, smart, scenario,
             )
-        violations, liveness_losses, compromised_counts, violation_times = tallies
         return RunRangeTallies(
-            run_start=run_start,
-            run_stop=run_stop,
-            violations=violations,
-            liveness_losses=liveness_losses,
-            compromised_counts=tuple(compromised_counts),
-            violation_times=tuple(violation_times),
+            run_start=run_start, run_stop=run_stop, reach_times=tuple(reach_times)
         )
 
     # -- execution engines ----------------------------------------------------------
@@ -531,25 +536,21 @@ class CompromiseSimulation:
         run_stop: int,
         exploit_rate: float,
         horizon: float,
-        quorum_model: str,
         targeted: bool,
         recovery_interval: Optional[float],
         arrival: str,
         shape: float,
         smart: bool,
-    ) -> Tuple[int, int, List[int], List[float]]:
+    ) -> List[Tuple[float, ...]]:
         """Reference path: one ``Attacker`` + ``BFTService`` pair per run."""
-        violations = 0
-        liveness_losses = 0
-        compromised_counts: List[int] = []
-        violation_times: List[float] = []
+        reach_times: List[Tuple[float, ...]] = []
         for run_index in range(run_start, run_stop):
             attacker = Attacker(
                 self._entries,
                 configuration=self._configuration,
                 seed=self._seed + 7919 * run_index,
             )
-            group = self._group(os_names, quorum_model)
+            group = self._group(os_names)
             service = BFTService(group)
             targeted_os = list(set(os_names)) if targeted else None
             if arrival == "poisson":
@@ -568,13 +569,8 @@ class CompromiseSimulation:
             timeline = service.run_campaign(
                 exploits, recovery_interval=recovery_interval, horizon=horizon
             )
-            compromised_counts.append(timeline.peak_compromised)
-            if timeline.safety_violation_time is not None:
-                violations += 1
-                violation_times.append(timeline.safety_violation_time)
-            if timeline.liveness_loss_time is not None:
-                liveness_losses += 1
-        return violations, liveness_losses, compromised_counts, violation_times
+            reach_times.append(tuple(timeline.reach_times))
+        return reach_times
 
     def _campaign_tallies(
         self,
@@ -583,14 +579,13 @@ class CompromiseSimulation:
         run_stop: int,
         exploit_rate: float,
         horizon: float,
-        quorum_model: str,
         targeted: bool,
         recovery_interval: Optional[float],
         arrival: str,
         shape: float,
         smart: bool,
         scenario: Optional[ScenarioSpec],
-    ) -> Tuple[int, int, List[int], List[float]]:
+    ) -> List[Tuple[float, ...]]:
         """The event loop: compile once, then one AND-NOT + popcount per event.
 
         *When* events happen and *what* each event does are delegated to the
@@ -598,11 +593,12 @@ class CompromiseSimulation:
         (``scenario=None`` is the classic renewal × uniform adversary).  All
         draws come from the per-run ``Random(seed + 7919 * run_index)``
         stream -- for classic campaigns in the naive path's order -- so
-        results match the naive path and ranges merge bit for bit.
+        results match the naive path and ranges merge bit for bit.  Each run
+        yields the times its compromised count first reached 1, 2, … up to
+        its peak.
         """
         pool = self._compiled_pool()
-        group = self._group(os_names, quorum_model)
-        n, f, quorum = group.n, group.f, group.quorum_size
+        group = self._group(os_names)
         if targeted:
             targets = set(os_names)
             targeted_pool = [
@@ -630,31 +626,23 @@ class CompromiseSimulation:
         else:
             def draw_gap(rng, _rate=exploit_rate):
                 return rng.expovariate(_rate)
-        arrivals, policy = build_scenario(scenario, draw_gap, victim_masks, n)
+        arrivals, policy = build_scenario(scenario, draw_gap, victim_masks, group.n)
         events, reset = arrivals.events, policy.reset
         choose, propagate = policy.choose, policy.propagate
 
-        violations = 0
-        liveness_losses = 0
-        compromised_counts: List[int] = []
-        violation_times: List[float] = []
+        reach_times: List[Tuple[float, ...]] = []
         for run_index in range(run_start, run_stop):
             rng = random.Random(self._seed + 7919 * run_index)
             reset(rng)
             compromised = 0
             peak = 0
-            violation_time: Optional[float] = None
-            liveness_time: Optional[float] = None
+            reached: Tuple[float, ...] = ()
             if opening_mask:
                 # The smart opening shot lands at time 0.0, before any
                 # recovery (those start strictly after 0).
                 compromised = opening_mask
-                count = compromised.bit_count()
-                peak = count
-                if count > f:
-                    violation_time = 0.0
-                if n - count < quorum:
-                    liveness_time = 0.0
+                peak = compromised.bit_count()
+                reached = (0.0,) * peak
             if targeted_pool:
                 recovery_index = 0
                 for time in events(rng, horizon):
@@ -677,18 +665,10 @@ class CompromiseSimulation:
                     compromised = propagate(rng, compromised | newly)
                     count = compromised.bit_count()
                     if count > peak:
+                        reached += (time,) * (count - peak)
                         peak = count
-                    if violation_time is None and count > f:
-                        violation_time = time
-                    if liveness_time is None and n - count < quorum:
-                        liveness_time = time
-            compromised_counts.append(peak)
-            if violation_time is not None:
-                violations += 1
-                violation_times.append(violation_time)
-            if liveness_time is not None:
-                liveness_losses += 1
-        return violations, liveness_losses, compromised_counts, violation_times
+            reach_times.append(reached)
+        return reach_times
 
     # -- single-exploit (0-day) analysis -----------------------------------------------
 

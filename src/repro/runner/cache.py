@@ -220,9 +220,10 @@ class ResultCache:
 
         The write goes through a same-directory temporary file and an atomic
         rename, so concurrent sweeps sharing a cache directory never observe
-        half-written JSON.
+        half-written JSON.  The directory is made by the first write that
+        finds it missing -- the first ever, or one after a prune -- not
+        before every write.
         """
-        self._dir.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         payload = {
             "schema": CACHE_SCHEMA,
@@ -233,7 +234,11 @@ class ResultCache:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(text, encoding="utf-8")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+        except FileNotFoundError:
+            self._dir.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
         self._events.inc(event="write")
         return path

@@ -109,11 +109,14 @@ class GridCell:
         return ADVERSARY_MODES[self.adversary][1]
 
     def campaign_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments for ``CompromiseSimulation.run_range``."""
+        """Keyword arguments for ``CompromiseSimulation.run_range``.
+
+        The quorum model is not among them: the runs do not depend on it,
+        and :func:`repro.itsys.simulation.result_from_tallies` applies it.
+        """
         return dict(
             exploit_rate=self.exploit_rate,
             horizon=self.horizon,
-            quorum_model=self.quorum_model,
             targeted=self.targeted,
             recovery_interval=self.recovery_interval,
             arrival=self.arrival.process,

@@ -4,16 +4,21 @@
 :class:`~repro.runner.grid.ExperimentGrid` and guarantees that the merged
 output is **bit-for-bit identical for workers=1 and workers=N**:
 
-* each cell's ``runs`` are executed as run ranges
+* pending cells are grouped by what the event loop reads -- the OS tuple,
+  the runs and every campaign keyword but the quorum model -- and each
+  group's ``runs`` are executed once as run ranges
   (``CompromiseSimulation.run_range``), every run drawing from its own
   ``Random(seed + 7919 * run_index)`` stream regardless of chunking;
-* a cell runs inline as one range (``workers=1``), or split into chunks
+* a group runs inline as one range (``workers=1``), or split into chunks
   across a ``ProcessPoolExecutor`` whose workers compile the corpus **once
   per process** (pool filtering and bitmask compilation are the expensive
   parts, so they ride in the executor initializer, not in every task);
 * completed chunks are merged with
   :func:`~repro.itsys.simulation.merge_run_ranges`, which sorts partials by
   run-range start -- worker completion order cannot influence the result;
+* every cell of a group is scored from the group's tallies under its own
+  quorum model (:func:`~repro.itsys.simulation.result_from_tallies`), so a
+  grid crossing ``3f+1`` with ``2f+1`` simulates each trajectory once;
 * with a :class:`~repro.runner.cache.ResultCache` attached, cell results are
   looked up by content address before any simulation work is scheduled, so a
   warm sweep performs **zero** simulation calls.
@@ -27,7 +32,9 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
+from repro.analysis.dataset import VulnerabilityDataset
 from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import ServerConfiguration
 from repro.core.exceptions import SimulationError
@@ -46,11 +53,19 @@ from repro.runner.cache import ResultCache, cell_key, corpus_digest, result_to_j
 from repro.runner.grid import ExperimentGrid, GridCell
 from repro.snapshots.digests import scope_digest
 
-#: Chunks scheduled per pool worker per cell; >1 keeps the pool busy when
-#: chunk durations vary, while staying coarse enough that per-chunk
-#: compilation of the cell's victim bitmasks stays negligible.  Inline runs
-#: take each cell as one range.
+#: Chunks scheduled per pool worker per trajectory group; >1 keeps the pool
+#: busy when chunk durations vary, while staying coarse enough that
+#: per-chunk compilation of the group's victim bitmasks stays negligible.
+#: Inline runs take each group as one range.
 _CHUNKS_PER_WORKER = 2
+
+#: ``corpus_digest`` of each dataset a runner was built over, held while the
+#: dataset lives.  ``for_dataset`` builds on the dataset's one shared valid
+#: view, so every runner over one dataset hashes its corpus once.
+_DATASET_DIGESTS: "WeakKeyDictionary[VulnerabilityDataset, str]" = WeakKeyDictionary()
+
+#: Pending cells of one trajectory group, as (grid index, cell) pairs.
+_Group = List[Tuple[int, GridCell]]
 
 # -- worker-process state -----------------------------------------------------
 #
@@ -77,9 +92,12 @@ def _init_worker(
 
 
 def _run_chunk(
-    cell_index: int, cell: GridCell, run_start: int, run_stop: int
+    group_index: int, cell: GridCell, run_start: int, run_stop: int
 ) -> Tuple[int, RunRangeTallies, float]:
-    """Execute one run range of one cell inside a worker process.
+    """Execute one run range of one trajectory group inside a worker process.
+
+    ``cell`` is any member of the group: members differ only in what the
+    event loop does not read.
 
     The elapsed seconds ride back with the tallies so the parent process
     can feed its chunk-timing histogram without cross-process metric state;
@@ -90,7 +108,31 @@ def _run_chunk(
     tallies = _WORKER_SIMULATION.run_range(
         cell.os_names, run_start, run_stop, **cell.campaign_kwargs()
     )
-    return cell_index, tallies, CLOCK.perf() - started
+    return group_index, tallies, CLOCK.perf() - started
+
+
+def _trajectory_groups(pending: Sequence[Tuple[int, GridCell]]) -> List[_Group]:
+    """Group pending cells by what the event loop reads, in first-seen order.
+
+    Cells that differ only in their quorum model (or configuration name)
+    replay the same runs: the loop reads the OS tuple, the run count and the
+    campaign keywords, and the quorum model is applied when scoring.
+    """
+    groups: Dict[Tuple[object, ...], _Group] = {}
+    for index, cell in pending:
+        key = (cell.os_names, cell.runs, *cell.campaign_kwargs().values())
+        groups.setdefault(key, []).append((index, cell))
+    return list(groups.values())
+
+
+def _score(
+    members: _Group, tallies: RunRangeTallies, merged: Dict[int, SimulationResult]
+) -> None:
+    """Score one group's complete tallies for each member cell."""
+    for index, cell in members:
+        merged[index] = result_from_tallies(
+            cell.cell_id, cell.os_names, tallies, cell.quorum_model
+        )
 
 
 def chunk_ranges(runs: int, chunks: int) -> List[Tuple[int, int]]:
@@ -224,11 +266,16 @@ class SweepReport:
 class GridRunner:
     """Executes experiment grids over a corpus, in parallel, deterministically.
 
-    ``workers=1`` runs each cell inline in this process as one run range
-    (the reference path); ``workers>1`` fans chunks out to a
-    ``ProcessPoolExecutor`` and merges their tallies sorted by run-range
-    start.  Runs are seeded by index, so both paths produce the same
+    Cells that differ only in their quorum model share one simulated
+    trajectory group, scored once per member.  ``workers=1`` runs each
+    group inline in this process as one run range (the reference path);
+    ``workers>1`` fans chunks out to a ``ProcessPoolExecutor`` and merges
+    their tallies sorted by run-range start.  Runs are seeded by index, so
+    both paths produce the same
     :class:`~repro.itsys.simulation.SimulationResult` per cell bit for bit.
+
+    ``entries`` may be a :class:`~repro.analysis.dataset.VulnerabilityDataset`;
+    its corpus digest is then computed once per dataset, not per runner.
     """
 
     def __init__(
@@ -267,7 +314,12 @@ class GridRunner:
             "sweep_chunk_seconds",
             "Per-chunk simulation wall time, inline or per worker process.",
         )
-        self._digest = corpus_digest(self._entries)
+        if isinstance(entries, VulnerabilityDataset):
+            if entries not in _DATASET_DIGESTS:
+                _DATASET_DIGESTS[entries] = corpus_digest(self._entries)
+            self._digest = _DATASET_DIGESTS[entries]
+        else:
+            self._digest = corpus_digest(self._entries)
         #: The configuration-admitted entries every scope digest draws from.
         self._pool = ServerConfigurationFilter(configuration).apply(self._entries)
         #: Scoped digests memoized per (targeted, group OS set) -- many grid
@@ -279,13 +331,14 @@ class GridRunner:
     def for_dataset(cls, dataset, **kwargs) -> "GridRunner":
         """A runner over a dataset's valid entries (the job-safe handle).
 
-        The simulator only ever sees valid entries; this constructor
-        applies that filter once so callers holding a
+        The simulator only ever sees valid entries; this constructor takes
+        them from the dataset's memoised valid view, so callers holding a
         :class:`~repro.analysis.dataset.VulnerabilityDataset` (the serving
         layer's job table, notebooks) cannot accidentally feed excluded
-        entries into a sweep.  ``kwargs`` pass through to ``__init__``.
+        entries into a sweep, and runners over one dataset share the view's
+        corpus digest.  ``kwargs`` pass through to ``__init__``.
         """
-        return cls([entry for entry in dataset if entry.is_valid], **kwargs)
+        return cls(dataset.valid(), **kwargs)
 
     @property
     def workers(self) -> int:
@@ -360,10 +413,11 @@ class GridRunner:
             pending.append((index, cell))
             cached[index] = False
         if pending:
+            groups = _trajectory_groups(pending)
             if self._workers == 1:
-                self._run_inline(pending, merged)
+                self._run_inline(groups, merged)
             else:
-                self._run_pooled(pending, merged)
+                self._run_pooled(groups, merged)
             if self._cache is not None:
                 for index, cell in pending:
                     self._cache.put(keys[index], cell, merged[index])
@@ -390,29 +444,25 @@ class GridRunner:
         )
 
     def _run_inline(
-        self,
-        pending: Sequence[Tuple[int, GridCell]],
-        merged: Dict[int, SimulationResult],
+        self, groups: Sequence[_Group], merged: Dict[int, SimulationResult]
     ) -> None:
-        # One range per cell: splitting only helps a pool schedule work,
-        # and each range compiles the cell's pool and victim masks anew.
+        # One range per group: splitting only helps a pool schedule work,
+        # and each range compiles the group's pool and victim masks anew.
         simulation = self._local_simulation()
-        for index, cell in pending:
+        for members in groups:
+            cell = members[0][1]
             started = CLOCK.perf()
             tallies = simulation.run_range(
                 cell.os_names, 0, cell.runs, **cell.campaign_kwargs()
             )
             self._chunk_seconds.observe(CLOCK.perf() - started)
-            merged[index] = result_from_tallies(cell.cell_id, cell.os_names, tallies)
+            _score(members, tallies, merged)
 
     def _run_pooled(
-        self,
-        pending: Sequence[Tuple[int, GridCell]],
-        merged: Dict[int, SimulationResult],
+        self, groups: Sequence[_Group], merged: Dict[int, SimulationResult]
     ) -> None:
-        chunks_per_cell = self._workers * _CHUNKS_PER_WORKER
-        by_cell: Dict[int, GridCell] = dict(pending)
-        partials: Dict[int, List[RunRangeTallies]] = {index: [] for index in by_cell}
+        chunks_per_group = self._workers * _CHUNKS_PER_WORKER
+        partials: List[List[RunRangeTallies]] = [[] for _ in groups]
         with ProcessPoolExecutor(
             max_workers=self._workers,
             initializer=_init_worker,
@@ -424,19 +474,19 @@ class GridRunner:
                 self._catalogued,
             ),
         ) as pool:
-            futures: List[Future] = [
-                pool.submit(_run_chunk, index, cell, start, stop)
-                for index, cell in pending
-                for start, stop in chunk_ranges(cell.runs, chunks_per_cell)
-            ]
+            futures: List[Future] = []
+            for group_index, members in enumerate(groups):
+                cell = members[0][1]
+                futures.extend(
+                    pool.submit(_run_chunk, group_index, cell, start, stop)
+                    for start, stop in chunk_ranges(cell.runs, chunks_per_group)
+                )
             outstanding = set(futures)
             while outstanding:
                 done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, tallies, elapsed = future.result()
+                    group_index, tallies, elapsed = future.result()
                     self._chunk_seconds.observe(elapsed)
-                    partials[index].append(tallies)
-        for index, cell in by_cell.items():
-            merged[index] = result_from_tallies(
-                cell.cell_id, cell.os_names, merge_run_ranges(partials[index])
-            )
+                    partials[group_index].append(tallies)
+        for members, parts in zip(groups, partials):
+            _score(members, merge_run_ranges(parts), merged)

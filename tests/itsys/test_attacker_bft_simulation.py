@@ -273,6 +273,29 @@ class TestBFTEventOrdering:
         assert group.compromised_count() == 0
         assert timeline.peak_compromised == 2
 
+    def test_reach_times_keep_the_first_crossing(self):
+        """Crossing f, recovering and crossing again: each level keeps the
+        time it was first reached, and safety latched at the first."""
+        group = ReplicaGroup.diverse(["Debian", "OpenBSD", "Solaris", "Windows2003"])
+        service = BFTService(group)
+        exploits = [
+            self._exploit(1.0, ["Debian", "OpenBSD"], "CVE-1"),
+            self._exploit(3.0, ["Debian", "OpenBSD", "Solaris"], "CVE-2"),
+        ]
+        timeline = service.run_campaign(exploits, recovery_interval=2.0, horizon=3.0)
+        assert timeline.reach_times == [1.0, 1.0, 3.0]
+        assert timeline.peak_compromised == len(timeline.reach_times)
+        assert timeline.safety_violation_time == timeline.reach_times[group.f] == 1.0
+
+    def test_reach_times_start_from_replicas_already_down(self):
+        group = ReplicaGroup.diverse(["Debian", "OpenBSD", "Solaris", "Windows2003"])
+        group.apply_exploit(0.25, "CVE-0", ["Solaris"])
+        timeline = BFTService(group).run_campaign(
+            [self._exploit(1.0, ["Debian"], "CVE-1")], horizon=2.0
+        )
+        assert timeline.reach_times == [0.25, 1.0]
+        assert timeline.peak_compromised == 2
+
 
 class TestCompromiseSimulation:
     def test_run_configuration_basic(self, corpus):

@@ -133,6 +133,7 @@ def test_split_runs_merge_back_to_the_full_campaign(
 ):
     campaign = dict(campaign)
     runs = campaign.pop("runs") + 1  # ensure >= 2 so the split is proper
+    del campaign["quorum_model"]  # applied when scoring, not by run_range
     split = min(split, runs - 1)
     simulation = CompromiseSimulation(POOL, seed=seed, engine="bitset")
     whole = simulation.run_range(

@@ -13,8 +13,15 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.enums import AccessVector, ComponentClass
+from repro.itsys.attacker import ExploitEvent
+from repro.itsys.bft import BFTService
+from repro.itsys.replica import ReplicaGroup
 from repro.itsys.scenarios import ScenarioSpec
-from repro.itsys.simulation import CompromiseSimulation
+from repro.itsys.simulation import (
+    CompromiseSimulation,
+    RunRangeTallies,
+    result_from_tallies,
+)
 from tests.conftest import make_entry
 
 #: A compact corpus with deliberate overlap structure: per-OS entries, pairs,
@@ -110,6 +117,47 @@ def test_engines_identical_under_every_scenario_family(
         "cfg", os_names, scenario=scenario, **campaign
     )
     assert other == fast_result
+
+
+exploit_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+        st.sets(st.sampled_from(GROUP_OSES), min_size=1, max_size=3),
+    ),
+    max_size=10,
+)
+
+
+@given(exploits=exploit_lists, os_names=groups,
+       quorum_model=st.sampled_from(("3f+1", "2f+1")),
+       recovery_interval=st.one_of(st.none(), st.sampled_from((0.5, 1.0, 2.5))))
+@settings(max_examples=120, deadline=None)
+def test_scorer_agrees_with_the_service_model(
+    exploits, os_names, quorum_model, recovery_interval
+):
+    """Both engines record first-reach times and share one scorer; the
+    service model latches the same outcomes through its own safety and
+    quorum checks, which keeps the scorer honest."""
+    events = [
+        ExploitEvent(time=time, cve_id=f"CVE-{index}", affected_os=frozenset(oses),
+                     remote=True)
+        for index, (time, oses) in enumerate(exploits)
+    ]
+    timeline = BFTService(ReplicaGroup(os_names, quorum_model)).run_campaign(
+        events, recovery_interval=recovery_interval, horizon=6.0
+    )
+    result = result_from_tallies(
+        "cfg", os_names, RunRangeTallies(0, 1, (tuple(timeline.reach_times),)),
+        quorum_model,
+    )
+    assert result.mean_time_to_violation == timeline.safety_violation_time
+    assert result.safety_violation_probability == float(
+        timeline.safety_violation_time is not None
+    )
+    assert result.liveness_loss_probability == float(
+        timeline.liveness_loss_time is not None
+    )
+    assert result.mean_compromised == timeline.peak_compromised
 
 
 @given(os_names=groups, seed=st.integers(0, 10_000),

@@ -1,6 +1,7 @@
 """Content-addressed result cache: keys, round trips, corruption handling."""
 
 import json
+import shutil
 
 import pytest
 
@@ -149,3 +150,15 @@ class TestResultCache:
         assert not target.exists()
         cache.put("k", _cell(), result)
         assert target.is_dir()
+
+    def test_put_after_the_directory_is_pruned_still_lands(self, tmp_path, result):
+        """The directory is made once, and again when a write finds it gone."""
+        target = tmp_path / "cache"
+        cache = ResultCache(target)
+        cache.put("first", _cell(), result)
+        shutil.rmtree(target)
+        path = cache.put("second", _cell(), result)
+        assert path.parent == target and path.is_file()
+        assert cache.get("second") == result
+        assert sorted(p.name for p in target.iterdir()) == ["second.json"]
+        assert cache.writes == 2

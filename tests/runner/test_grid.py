@@ -66,6 +66,7 @@ class TestExpansion:
         assert kwargs["exploit_rate"] == 2.5
         assert kwargs["horizon"] == 9.0
         assert "runs" not in kwargs  # run counts travel as run ranges
+        assert "quorum_model" not in kwargs  # applied when scoring the runs
 
     def test_adversary_modes_map_to_simulator_switches(self):
         grid = _grid(adversaries=("standard", "smart", "untargeted"))
