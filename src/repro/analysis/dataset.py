@@ -23,11 +23,17 @@ interchangeable engines:
 All engines return identical values in identical order; derived datasets
 (``valid()``, ``filtered()``, ``between()``) inherit the engine choice.
 
-``valid()`` and ``filtered(configuration)`` are memoised on the dataset:
-the first call builds the view, and every later call -- from any analysis
--- returns that same object, with its compiled index.  Derived views are
-therefore shared and read-only: nothing may mutate one, since every holder
-of the parent dataset sees it.
+``valid()`` and ``filtered(configuration)`` are memoised: the first call
+builds the view, and every later call -- from any analysis, the simulator or
+the sweep runner -- returns that same object, with its compiled index.  A
+configuration admits only valid entries, so ``filtered(c)`` is built from the
+valid view and memoised on it: ``dataset.filtered(c) is
+dataset.valid().filtered(c)``, and each configuration is filtered once per
+dataset.  A derived view holds only valid entries, so it is its own valid
+view (``view.valid() is view``); a flag records that, not a reference back
+to itself, so a dropped dataset is freed without the cyclic collector.
+Derived views are shared and read-only: nothing may mutate one, since every
+holder of the parent dataset sees it.
 """
 
 from __future__ import annotations
@@ -93,6 +99,9 @@ class VulnerabilityDataset:
         #: Derived views, built on first use: ``None`` keys the valid view,
         #: a configuration its filtered view.
         self._views: Dict[Optional[ServerConfiguration], "VulnerabilityDataset"] = {}
+        #: Set on derived views, which hold only valid entries: such a view
+        #: is its own valid view and filters its own entries.
+        self._valid_only = False
         self._by_os: Dict[str, List[VulnerabilityEntry]] = {name: [] for name in self._os_names}
         for entry in self._entries:
             for name in entry.affected_os:
@@ -207,7 +216,12 @@ class VulnerabilityDataset:
         return list(self._by_os[os_name])
 
     def valid(self) -> "VulnerabilityDataset":
-        """A dataset restricted to valid entries (built once, then shared)."""
+        """A dataset restricted to valid entries (built once, then shared).
+
+        A derived view is its own valid view.
+        """
+        if self._valid_only:
+            return self
         return self._view(None)
 
     def _view(
@@ -222,10 +236,9 @@ class VulnerabilityDataset:
                 entries = [entry for entry in self._entries if entry.is_valid]
             else:
                 entries = ServerConfigurationFilter(configuration).apply(self._entries)
-            view = self._views.setdefault(
-                configuration,
-                VulnerabilityDataset(entries, self._os_names, engine=self._engine),
-            )
+            view = VulnerabilityDataset(entries, self._os_names, engine=self._engine)
+            view._valid_only = True
+            view = self._views.setdefault(configuration, view)
         return view
 
     # -- validity (Table I) -----------------------------------------------------
@@ -257,12 +270,13 @@ class VulnerabilityDataset:
     ) -> "VulnerabilityDataset":
         """Dataset restricted to a server configuration (Fat/Thin/Isolated Thin).
 
-        Built once per configuration, then shared; a filter and its
+        Built once per configuration from the valid view, and memoised on
+        it: ``filtered(c) is valid().filtered(c)``.  A filter and its
         configuration name the same view.
         """
         if isinstance(configuration, ServerConfigurationFilter):
             configuration = configuration.configuration
-        return self._view(configuration)
+        return self.valid()._view(configuration)
 
     def between(self, start: _dt.date, end: _dt.date) -> "VulnerabilityDataset":
         """Dataset restricted to entries published in [start, end]."""

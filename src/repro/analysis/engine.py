@@ -862,7 +862,7 @@ class ReplicaIncidence:
 
     def __init__(
         self,
-        entries: Sequence[VulnerabilityEntry],
+        entries: Iterable[VulnerabilityEntry],
         replica_os_names: Sequence[str],
     ) -> None:
         self._replica_os: Tuple[str, ...] = tuple(replica_os_names)

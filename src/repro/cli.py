@@ -298,9 +298,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     dataset = _load_dataset(args)
     simulation = CompromiseSimulation(
-        [entry for entry in dataset if entry.is_valid],
-        seed=args.seed,
-        engine=args.engine,
+        dataset.valid(), seed=args.seed, engine=args.engine
     )
     campaign = dict(
         runs=args.runs,

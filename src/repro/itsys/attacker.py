@@ -47,7 +47,7 @@ class ExploitEvent:
 
 
 def best_exploit_entry(
-    pool: Sequence[VulnerabilityEntry], os_names: Sequence[str]
+    pool: Iterable[VulnerabilityEntry], os_names: Sequence[str]
 ) -> Tuple[Optional[VulnerabilityEntry], int]:
     """The pool entry compromising the most distinct OSes of a group.
 

@@ -14,7 +14,8 @@ Two execution engines are provided, mirroring the analysis engine split of
 :mod:`repro.analysis.engine`:
 
 * ``"bitset"`` (default) -- one event loop for every campaign.  The
-  attacker's exploitable pool is compiled **once per simulation** (the
+  attacker's exploitable pool is the corpus dataset's memoised
+  ``filtered(configuration)`` view, filtered **once per dataset** (the
   naive path re-filters the whole corpus on every run), each exploit's
   victim set over the replica group is a precompiled integer bitmask
   (:class:`repro.analysis.engine.ReplicaIncidence`) and per-event damage is
@@ -30,8 +31,9 @@ Two execution engines are provided, mirroring the analysis engine split of
 
 Both engines consume the per-run random streams identically (seed
 ``seed + 7919 * run_index``, one ``expovariate``/``weibullvariate`` plus one
-``choice`` per exploit), so for a fixed seed they produce **bit-for-bit
-identical** :class:`SimulationResult` values -- asserted by
+``choice`` per exploit) up to the point where the bitset engine ends a run
+(below), so for a fixed seed they produce **bit-for-bit identical**
+:class:`SimulationResult` values -- asserted by
 ``tests/itsys/test_simulation_equivalence.py`` and timed by
 ``benchmarks/bench_simulation.py``.
 
@@ -60,6 +62,15 @@ exceeds ``f``, liveness once fewer than a quorum stay correct).  So one
 simulated run range scores under every quorum model, and
 :class:`~repro.runner.runner.GridRunner` simulates the cells of a sweep that
 differ only in their quorum model once.
+
+A run ends once its record is complete.  The compromised count never
+exceeds the number of replicas some exploit reaches (the popcount of the OR
+of the group's victim masks), and only a rise extends the record, so the
+event loop stops a run as soon as its peak reaches that bound -- and plays
+no event at all when the smart opening already does.  Every run draws only
+from its own stream, so no other run, range or sweep cell can see the
+difference.  The naive path plays every event and stays the independent
+reference.
 
 Scenario knobs beyond the paper's Poisson attacker: a Weibull *aging*
 inter-arrival process (``arrival="aging"``), a *smart* adversary that opens
@@ -93,8 +104,8 @@ from typing import (
     TypeVar,
 )
 
+from repro.analysis.dataset import VulnerabilityDataset
 from repro.analysis.engine import ReplicaIncidence
-from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import ServerConfiguration
 from repro.core.exceptions import SimulationError
 from repro.core.models import VulnerabilityEntry
@@ -357,9 +368,12 @@ def result_from_tallies(
 class CompromiseSimulation:
     """Monte-Carlo estimator of compromise probabilities for replica groups.
 
-    ``engine`` selects the execution path (see the module docstring);
-    ``catalogued=False`` skips OS-name normalisation so synthetic scaled
-    catalogues (``generate_scaled_catalogue``) can be simulated.
+    ``entries`` may be a :class:`~repro.analysis.dataset.VulnerabilityDataset`,
+    which the simulation then shares (with its memoised views); otherwise a
+    dataset is built over the entries.  ``engine`` selects the execution
+    path (see the module docstring); ``catalogued=False`` skips OS-name
+    normalisation so synthetic scaled catalogues
+    (``generate_scaled_catalogue``) can be simulated.
     """
 
     def __init__(
@@ -374,14 +388,15 @@ class CompromiseSimulation:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        self._entries = list(entries)
+        self._dataset = (
+            entries
+            if isinstance(entries, VulnerabilityDataset)
+            else VulnerabilityDataset(entries)
+        )
         self._configuration = configuration
         self._seed = seed
         self._engine = engine
         self._catalogued = catalogued
-        #: Config-filtered exploitable pool, compiled lazily *once* and shared
-        #: by every configuration the event loop runs.
-        self._pool: Optional[List[VulnerabilityEntry]] = None
 
     @property
     def engine(self) -> str:
@@ -397,7 +412,7 @@ class CompromiseSimulation:
         if engine == self._engine:
             return self
         return CompromiseSimulation(
-            self._entries,
+            self._dataset,
             configuration=self._configuration,
             seed=self._seed,
             engine=engine,
@@ -406,16 +421,14 @@ class CompromiseSimulation:
 
     # -- compiled state -------------------------------------------------------------
 
-    def _compiled_pool(self) -> List[VulnerabilityEntry]:
-        """The attacker's exploitable pool, filtered once per simulation."""
-        if self._pool is None:
-            admits = ServerConfigurationFilter(self._configuration).admits
-            pool = [entry for entry in self._entries if admits(entry)]
-            if not pool:
-                # Same failure mode as constructing an Attacker over the corpus.
-                raise SimulationError("the attacker has no exploitable vulnerabilities")
-            self._pool = pool
-        return self._pool
+    def _compiled_pool(self) -> VulnerabilityDataset:
+        """The attacker's exploitable pool: the dataset's shared view of the
+        entries the configuration admits, filtered once per dataset."""
+        pool = self._dataset.filtered(self._configuration)
+        if not pool:
+            # Same failure mode as constructing an Attacker over the corpus.
+            raise SimulationError("the attacker has no exploitable vulnerabilities")
+        return pool
 
     def _group(
         self, os_names: Sequence[str], quorum_model: str = "3f+1"
@@ -542,11 +555,12 @@ class CompromiseSimulation:
         shape: float,
         smart: bool,
     ) -> List[Tuple[float, ...]]:
-        """Reference path: one ``Attacker`` + ``BFTService`` pair per run."""
+        """Reference path: one ``Attacker`` + ``BFTService`` pair per run,
+        filtering the corpus itself and playing every event."""
         reach_times: List[Tuple[float, ...]] = []
         for run_index in range(run_start, run_stop):
             attacker = Attacker(
-                self._entries,
+                self._dataset,
                 configuration=self._configuration,
                 seed=self._seed + 7919 * run_index,
             )
@@ -595,7 +609,8 @@ class CompromiseSimulation:
         stream -- for classic campaigns in the naive path's order -- so
         results match the naive path and ranges merge bit for bit.  Each run
         yields the times its compromised count first reached 1, 2, … up to
-        its peak.
+        its peak, and ends once that peak reaches the replicas any exploit
+        can reach.
         """
         pool = self._compiled_pool()
         group = self._group(os_names)
@@ -613,6 +628,14 @@ class CompromiseSimulation:
             entry, _coverage = best_exploit_entry(pool, os_names)
             if entry is not None:
                 opening_mask = incidence.victim_mask_for(entry.affected_os)
+        # The count never exceeds the replicas some exploit reaches (the
+        # smart opening is a pool entry, and propagation spreads along the
+        # victim masks), and only a rise extends a run's record, so a run
+        # whose peak reaches this bound is complete and ends.
+        reachable = 0
+        for mask in victim_masks:
+            reachable |= mask
+        bound = reachable.bit_count()
         recovery_times: List[float] = []
         if recovery_interval is not None:
             t = recovery_interval
@@ -643,7 +666,7 @@ class CompromiseSimulation:
                 compromised = opening_mask
                 peak = compromised.bit_count()
                 reached = (0.0,) * peak
-            if targeted_pool:
+            if peak < bound:
                 recovery_index = 0
                 for time in events(rng, horizon):
                     # Recoveries strictly before this exploit fire first
@@ -667,6 +690,8 @@ class CompromiseSimulation:
                     if count > peak:
                         reached += (time,) * (count - peak)
                         peak = count
+                        if peak == bound:
+                            break
             reach_times.append(reached)
         return reach_times
 
@@ -692,7 +717,7 @@ class CompromiseSimulation:
         total_victims = 0
         if self._engine == "naive":
             attacker = Attacker(
-                self._entries, configuration=self._configuration, seed=self._seed
+                self._dataset, configuration=self._configuration, seed=self._seed
             )
             for entry in attacker.targeted_pool(None):
                 victims = sum(

@@ -233,9 +233,7 @@ def _run_ksets(dataset: VulnerabilityDataset) -> ExperimentResult:
 def _run_simulation(dataset: VulnerabilityDataset) -> ExperimentResult:
     from repro.itsys.simulation import CompromiseSimulation
 
-    simulation = CompromiseSimulation(
-        [entry for entry in dataset if entry.is_valid], seed=20110627
-    )
+    simulation = CompromiseSimulation(dataset.valid(), seed=20110627)
     set1 = ("Windows2003", "Solaris", "Debian", "OpenBSD")
     homogeneous, diverse = simulation.homogeneous_vs_diverse(
         "Debian", set1, runs=60, exploit_rate=1.0, horizon=4.0
@@ -286,7 +284,7 @@ def _run_sweep(dataset: VulnerabilityDataset) -> ExperimentResult:
         exploit_rate=1.0,
         horizon=4.0,
     )
-    runner = GridRunner([entry for entry in dataset if entry.is_valid], seed=20110627)
+    runner = GridRunner.for_dataset(dataset, seed=20110627)
     report = runner.run(grid)
     by_id = {cell.cell.cell_id: cell.result for cell in report.cells}
     homogeneous = by_id["homogeneous-Debian|3f+1|no-recovery|poisson|standard"]

@@ -9,10 +9,15 @@ output is **bit-for-bit identical for workers=1 and workers=N**:
   group's ``runs`` are executed once as run ranges
   (``CompromiseSimulation.run_range``), every run drawing from its own
   ``Random(seed + 7919 * run_index)`` stream regardless of chunking;
+* the runner holds one :class:`~repro.analysis.dataset.VulnerabilityDataset`
+  and takes its admitted pool from the dataset's memoised
+  ``filtered(configuration)`` view, so the corpus is filtered once per
+  dataset -- not once per runner, simulation or process -- and a sweep over
+  a dataset whose views exist filters nothing;
 * a group runs inline as one range (``workers=1``), or split into chunks
-  across a ``ProcessPoolExecutor`` whose workers compile the corpus **once
-  per process** (pool filtering and bitmask compilation are the expensive
-  parts, so they ride in the executor initializer, not in every task);
+  across a ``ProcessPoolExecutor`` whose workers each build their
+  simulation over that dataset once, in the executor initializer, not in
+  every task;
 * completed chunks are merged with
   :func:`~repro.itsys.simulation.merge_run_ranges`, which sorts partials by
   run-range start -- worker completion order cannot influence the result;
@@ -35,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.analysis.dataset import VulnerabilityDataset
-from repro.classify.filters import ServerConfigurationFilter
 from repro.core.enums import ServerConfiguration
 from repro.core.exceptions import SimulationError
 from repro.core.models import VulnerabilityEntry
@@ -75,7 +79,7 @@ _WORKER_SIMULATION: Optional[CompromiseSimulation] = None
 
 
 def _init_worker(
-    entries: Sequence[VulnerabilityEntry],
+    dataset: VulnerabilityDataset,
     configuration: ServerConfiguration,
     seed: int,
     engine: str,
@@ -83,7 +87,7 @@ def _init_worker(
 ) -> None:
     global _WORKER_SIMULATION
     _WORKER_SIMULATION = CompromiseSimulation(
-        entries,
+        dataset,
         configuration=configuration,
         seed=seed,
         engine=engine,
@@ -274,8 +278,11 @@ class GridRunner:
     both paths produce the same
     :class:`~repro.itsys.simulation.SimulationResult` per cell bit for bit.
 
-    ``entries`` may be a :class:`~repro.analysis.dataset.VulnerabilityDataset`;
-    its corpus digest is then computed once per dataset, not per runner.
+    The runner holds one :class:`~repro.analysis.dataset.VulnerabilityDataset`:
+    ``entries`` itself when it is one, else one built over the entries.  Its
+    corpus digest is computed once per dataset, not per runner, and the
+    admitted pool that scope digests and the simulation draw from is the
+    dataset's memoised ``filtered(configuration)`` view.
     """
 
     def __init__(
@@ -297,7 +304,11 @@ class GridRunner:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        self._entries = list(entries)
+        self._dataset = (
+            entries
+            if isinstance(entries, VulnerabilityDataset)
+            else VulnerabilityDataset(entries)
+        )
         self._seed = seed
         self._engine = engine
         self._configuration = configuration
@@ -314,14 +325,11 @@ class GridRunner:
             "sweep_chunk_seconds",
             "Per-chunk simulation wall time, inline or per worker process.",
         )
-        if isinstance(entries, VulnerabilityDataset):
-            if entries not in _DATASET_DIGESTS:
-                _DATASET_DIGESTS[entries] = corpus_digest(self._entries)
-            self._digest = _DATASET_DIGESTS[entries]
-        else:
-            self._digest = corpus_digest(self._entries)
+        if self._dataset not in _DATASET_DIGESTS:
+            _DATASET_DIGESTS[self._dataset] = corpus_digest(self._dataset)
+        self._digest = _DATASET_DIGESTS[self._dataset]
         #: The configuration-admitted entries every scope digest draws from.
-        self._pool = ServerConfigurationFilter(configuration).apply(self._entries)
+        self._pool = self._dataset.filtered(configuration)
         #: Scoped digests memoized per (targeted, group OS set) -- many grid
         #: cells share a configuration, and the scope only depends on it.
         self._scope_digests: Dict[Tuple[bool, frozenset], str] = {}
@@ -375,7 +383,7 @@ class GridRunner:
     def _local_simulation(self) -> CompromiseSimulation:
         if self._local is None:
             self._local = CompromiseSimulation(
-                self._entries,
+                self._dataset,
                 configuration=self._configuration,
                 seed=self._seed,
                 engine=self._engine,
@@ -467,7 +475,7 @@ class GridRunner:
             max_workers=self._workers,
             initializer=_init_worker,
             initargs=(
-                self._entries,
+                self._dataset,
                 self._configuration,
                 self._seed,
                 self._engine,

@@ -1,8 +1,10 @@
 """Tests for the in-memory vulnerability dataset."""
 
 import datetime as dt
+import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -110,14 +112,18 @@ class TestDerivedViews:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_views_equal_a_fresh_filter_entry_for_entry(self, corpus, engine):
+        """One view per configuration, whichever dataset asks for it; a
+        derived view is its own valid view."""
         dataset = VulnerabilityDataset(corpus.entries, engine=engine)
         valid = dataset.valid()
         expected = [entry for entry in corpus.entries if entry.is_valid]
         assert len(valid) == len(expected)
         assert all(got is want for got, want in zip(valid, expected))
         assert valid.engine == engine
+        assert valid.valid() is valid
         for configuration in ServerConfiguration:
             admits = ServerConfigurationFilter(configuration).admits
+            assert dataset.filtered(configuration) is valid.filtered(configuration)
             for parent in (dataset, valid):
                 view = parent.filtered(configuration)
                 expected = [entry for entry in parent if admits(entry)]
@@ -125,6 +131,7 @@ class TestDerivedViews:
                 assert all(got is want for got, want in zip(view, expected))
                 assert view.engine == engine
                 assert view.os_names == dataset.os_names
+                assert view.valid() is view
 
     def test_threads_racing_on_first_calls_share_one_view(self, corpus):
         """A lost update would hand racing threads different views."""
@@ -156,6 +163,60 @@ class TestDerivedViews:
         for views in seen[1:]:
             assert len(views) == len(first)
             assert all(view is shared for view, shared in zip(views, first))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_dropped_dataset_is_freed_without_the_cyclic_collector(
+        self, corpus, engine
+    ):
+        """Views hold no reference back to their dataset or to themselves."""
+        dataset = VulnerabilityDataset(corpus.entries, engine=engine)
+        views = [dataset.valid(), *(dataset.filtered(c) for c in ServerConfiguration)]
+        for view in views:
+            view.compile()
+        refs = [weakref.ref(dataset), *(weakref.ref(view) for view in views)]
+        gc.disable()
+        try:
+            del dataset, views, view
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_runner_and_simulation_filter_nothing_over_built_views(
+        self, corpus, monkeypatch
+    ):
+        """A sweep and a campaign take their pool from the shared view."""
+        from repro.itsys.simulation import CompromiseSimulation
+        from repro.runner import ExperimentGrid, GridRunner
+
+        dataset = VulnerabilityDataset(corpus.entries)
+        for configuration in ServerConfiguration:
+            dataset.filtered(configuration)
+        calls = []
+        admits = ServerConfigurationFilter.admits
+
+        def counting_admits(self, entry):
+            calls.append(entry)
+            return admits(self, entry)
+
+        monkeypatch.setattr(ServerConfigurationFilter, "admits", counting_admits)
+        grid = ExperimentGrid(
+            configurations={
+                "homogeneous-Debian": ("Debian",) * 4,
+                "Set1": ("Windows2003", "Solaris", "Debian", "OpenBSD"),
+            },
+            recovery_intervals=(None, 2.0),
+            runs=5,
+        )
+        for configuration in ServerConfiguration:
+            report = GridRunner.for_dataset(
+                dataset, seed=3, configuration=configuration
+            ).run(grid)
+            assert report.simulated_cells == len(grid)
+            for source in (dataset, dataset.valid()):
+                simulation = CompromiseSimulation(source, configuration=configuration)
+                simulation.run_configuration("Set1", ("Debian", "OpenBSD"), runs=5)
+                simulation.single_exploit_analysis("Set1", ("Debian", "OpenBSD"))
+        assert calls == []
 
     def test_an_experiments_pass_compiles_each_view_once(self, corpus, monkeypatch):
         """Every analysis of one pass shares one view and its index."""

@@ -180,7 +180,13 @@ def test_scenario_runs_are_seed_deterministic(spec, seed):
 
 
 def test_adaptive_policy_aims_at_the_post_recovery_mask(monkeypatch):
-    """Regression: ``choose`` used to see the mask before due recoveries."""
+    """Regression: ``choose`` used to see the mask before due recoveries.
+
+    The group is all eight POOL operating systems: no single entry covers
+    them, so the greedy adversary needs several landings to take every
+    replica, and runs live on past their first recoveries.  (A group that
+    one entry covers ends each run at its first landing.)
+    """
     seen = []
     original = AdaptivePolicy.choose
 
@@ -189,7 +195,7 @@ def test_adaptive_policy_aims_at_the_post_recovery_mask(monkeypatch):
         return original(self, rng, now, compromised)
 
     monkeypatch.setattr(AdaptivePolicy, "choose", recording_choose)
-    group = ("Debian", "OpenBSD", "Solaris", "Windows2003")
+    group = GROUP_OSES
     recoveries = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     simulation = CompromiseSimulation(POOL, seed=3)
     checked = 0
