@@ -125,9 +125,7 @@ def test_scaled_catalogue_500_run_speedup():
     group = ("F00-R00", "F02-R05", "F04-R09", "F07-R03")
     campaign = dict(runs=500, exploit_rate=2.0, horizon=10.0, recovery_interval=2.0)
 
-    fast = CompromiseSimulation(
-        catalogue.entries, seed=42, engine="bitset", catalogued=False
-    )
+    fast = CompromiseSimulation(catalogue.dataset(), seed=42, engine="bitset")
     naive = fast.with_engine("naive")
     fast_result, fast_s = _timed(
         fast.run_configuration, "scaled-diverse", group, **campaign
@@ -148,9 +146,7 @@ def test_scaled_catalogue_500_run_speedup():
 def test_scaled_catalogue_homogeneous_vs_cross_family():
     """Diversity pays on the scaled catalogue too: same family >> cross family."""
     catalogue = generate_scaled_catalogue(n_families=10, releases_per_family=10)
-    simulation = CompromiseSimulation(
-        catalogue.entries, seed=9, engine="bitset", catalogued=False
-    )
+    simulation = CompromiseSimulation(catalogue.dataset(), seed=9, engine="bitset")
     campaign = dict(runs=200, exploit_rate=1.0, horizon=4.0)
     same_family = simulation.run_configuration(
         "same-family", ("F00-R00", "F00-R01", "F00-R02", "F00-R03"), **campaign

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import datetime as _dt
 import sqlite3
-from contextlib import nullcontext
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.constants import OS_CATALOG
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
@@ -56,6 +56,24 @@ class VulnerabilityDatabase:
         """The underlying SQLite connection (for ad-hoc queries)."""
         return self._conn
 
+    @contextmanager
+    def transaction(self) -> Iterator[sqlite3.Connection]:
+        """The one way to write: a transaction that nested calls join.
+
+        The outermost call takes SQLite's write lock up front (``BEGIN
+        IMMEDIATE``), so writers from other connections queue on it, and
+        commits when its block ends or rolls back when the block raises.
+        A call inside an open transaction adds its writes to that one, so
+        a caller can make several writes atomic: a delta's upserts,
+        tombstones and snapshot commit, or a full ingest's inserts.
+        """
+        if self._conn.in_transaction:
+            yield self._conn
+            return
+        with self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            yield self._conn
+
     # -- operating systems -----------------------------------------------------
 
     def register_os_catalog(
@@ -63,7 +81,7 @@ class VulnerabilityDatabase:
     ) -> None:
         """Insert the OS catalogue (names, families, releases)."""
         catalog = catalog or OS_CATALOG
-        with self._conn:
+        with self.transaction():
             for os_obj in catalog.values():
                 cursor = self._conn.execute(
                     "INSERT OR IGNORE INTO os (name, family, vendor, first_release_year)"
@@ -105,7 +123,7 @@ class VulnerabilityDatabase:
     def insert_entry(self, entry: VulnerabilityEntry) -> int:
         """Insert one entry (and its relationships); returns the row id."""
         try:
-            with self._conn:
+            with self.transaction():
                 cursor = self._conn.execute(
                     "INSERT INTO vulnerability"
                     " (cve_id, published, summary, validity, entry_digest, tombstoned)"
@@ -169,19 +187,19 @@ class VulnerabilityDatabase:
         idempotent and cheap).
         """
         digest = entry_digest(entry)
-        row = self._conn.execute(
-            "SELECT vuln_id, entry_digest, tombstoned FROM vulnerability"
-            " WHERE cve_id = ?",
-            (entry.cve_id,),
-        ).fetchone()
-        if row is None:
-            self.insert_entry(entry)
-            return "added"
-        if row["entry_digest"] == digest and not row["tombstoned"]:
-            return "unchanged"
-        vuln_id = row["vuln_id"]
-        try:
-            with self._conn:
+        with self.transaction():
+            row = self._conn.execute(
+                "SELECT vuln_id, entry_digest, tombstoned FROM vulnerability"
+                " WHERE cve_id = ?",
+                (entry.cve_id,),
+            ).fetchone()
+            if row is None:
+                self.insert_entry(entry)
+                return "added"
+            if row["entry_digest"] == digest and not row["tombstoned"]:
+                return "unchanged"
+            vuln_id = row["vuln_id"]
+            try:
                 self._conn.execute(
                     "UPDATE vulnerability SET published = ?, summary = ?,"
                     " validity = ?, entry_digest = ?, tombstoned = 0"
@@ -200,8 +218,8 @@ class VulnerabilityDatabase:
                         f"DELETE FROM {table} WHERE vuln_id = ?", (vuln_id,)
                     )
                 self._insert_relationships(vuln_id, entry)
-        except sqlite3.IntegrityError as exc:
-            raise DatabaseError(f"cannot update {entry.cve_id}: {exc}") from exc
+            except sqlite3.IntegrityError as exc:
+                raise DatabaseError(f"cannot update {entry.cve_id}: {exc}") from exc
         return "modified"
 
     def tombstone_entry(self, cve_id: str) -> bool:
@@ -212,7 +230,7 @@ class VulnerabilityDatabase:
         tombstoned rows.  Tombstoning an already-tombstoned or unknown entry
         is a no-op returning ``False``.
         """
-        with self._conn:
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE vulnerability SET tombstoned = 1"
                 " WHERE cve_id = ? AND tombstoned = 0",
@@ -225,10 +243,10 @@ class VulnerabilityDatabase:
 
         Digests missing from the stored rows (databases migrated from schema
         version 1) are backfilled on the fly, so the result is always
-        complete.  Inside a caller's transaction the backfill joins it and
-        the caller commits it (:meth:`SnapshotStore.commit
+        complete.  The backfill joins the caller's open transaction
+        (:meth:`SnapshotStore.commit
         <repro.snapshots.store.SnapshotStore.commit>` holds the write lock
-        across this read); otherwise it commits here.
+        across this read) or runs in one of its own.
         """
         state: Dict[str, str] = {}
         missing: List[str] = []
@@ -244,7 +262,7 @@ class VulnerabilityDatabase:
                 entry.cve_id: entry_digest(entry)
                 for entry in self.load_entries(cve_ids=missing)
             }
-            with nullcontext() if self._conn.in_transaction else self._conn:
+            with self.transaction():
                 for cve_id, digest in backfilled.items():
                     self._conn.execute(
                         "UPDATE vulnerability SET entry_digest = ? WHERE cve_id = ?",
@@ -254,11 +272,12 @@ class VulnerabilityDatabase:
         return state
 
     def insert_entries(self, entries: Iterable[VulnerabilityEntry]) -> int:
-        """Insert a batch of entries; returns the number inserted."""
+        """Insert a batch of entries in one transaction; returns the count."""
         count = 0
-        for entry in entries:
-            self.insert_entry(entry)
-            count += 1
+        with self.transaction():
+            for entry in entries:
+                self.insert_entry(entry)
+                count += 1
         return count
 
     def entry_count(self, only_valid: bool = False) -> int:
@@ -382,7 +401,7 @@ class VulnerabilityDatabase:
         ).fetchone()
         if row is None:
             raise DatabaseError(f"unknown CVE identifier {cve_id!r}")
-        with self._conn:
+        with self.transaction():
             self._conn.execute(
                 "UPDATE vulnerability_type SET component_class = ? WHERE vuln_id = ?",
                 (component_class.value, row["vuln_id"]),
@@ -390,7 +409,7 @@ class VulnerabilityDatabase:
 
     def set_validity(self, cve_id: str, validity: ValidityStatus) -> None:
         """Record a manual validity decision for an entry."""
-        with self._conn:
+        with self.transaction():
             cursor = self._conn.execute(
                 "UPDATE vulnerability SET validity = ? WHERE cve_id = ?",
                 (validity.value, cve_id),

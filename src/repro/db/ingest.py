@@ -95,22 +95,23 @@ class IngestPipeline:
     # -- ingestion -------------------------------------------------------------
 
     def ingest_raw(self, raw_entries: Sequence[RawFeedEntry]) -> IngestReport:
-        """Ingest already-parsed raw entries."""
+        """Ingest already-parsed raw entries, in one write transaction."""
         report = IngestReport(parsed_entries=len(raw_entries))
-        for raw in raw_entries:
-            entry = self.convert(raw)
-            if entry is None:
-                report.skipped_no_os += 1
-                continue
-            self.database.insert_entry(entry)
-            report.ingested_entries += 1
-            report.by_validity[entry.validity.value] = (
-                report.by_validity.get(entry.validity.value, 0) + 1
-            )
-            if entry.is_valid:
-                report.valid_entries += 1
-            else:
-                report.excluded_entries += 1
+        with self.database.transaction():
+            for raw in raw_entries:
+                entry = self.convert(raw)
+                if entry is None:
+                    report.skipped_no_os += 1
+                    continue
+                self.database.insert_entry(entry)
+                report.ingested_entries += 1
+                report.by_validity[entry.validity.value] = (
+                    report.by_validity.get(entry.validity.value, 0) + 1
+                )
+                if entry.is_valid:
+                    report.valid_entries += 1
+                else:
+                    report.excluded_entries += 1
         report.unmatched_products = len(self.normalizer.report.unmatched_keys)
         return report
 
@@ -126,22 +127,24 @@ class IngestPipeline:
         """Ingest pre-built entries (e.g. a synthetic corpus) without re-parsing.
 
         Validity and classification are preserved when already present.
+        The inserts run in one write transaction.
         """
         report = IngestReport()
-        for entry in entries:
-            report.parsed_entries += 1
-            if not entry.affected_os:
-                report.skipped_no_os += 1
-                continue
-            if entry.component_class is None and entry.is_valid:
-                entry = entry.with_class(self.classifier.classify(entry))
-            self.database.insert_entry(entry)
-            report.ingested_entries += 1
-            if entry.is_valid:
-                report.valid_entries += 1
-            else:
-                report.excluded_entries += 1
-            report.by_validity[entry.validity.value] = (
-                report.by_validity.get(entry.validity.value, 0) + 1
-            )
+        with self.database.transaction():
+            for entry in entries:
+                report.parsed_entries += 1
+                if not entry.affected_os:
+                    report.skipped_no_os += 1
+                    continue
+                if entry.component_class is None and entry.is_valid:
+                    entry = entry.with_class(self.classifier.classify(entry))
+                self.database.insert_entry(entry)
+                report.ingested_entries += 1
+                if entry.is_valid:
+                    report.valid_entries += 1
+                else:
+                    report.excluded_entries += 1
+                report.by_validity[entry.validity.value] = (
+                    report.by_validity.get(entry.validity.value, 0) + 1
+                )
         return report

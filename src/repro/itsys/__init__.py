@@ -5,7 +5,6 @@ systems: as long as at most ``f`` of the ``3f+1`` (or ``2f+1``) replicas are
 compromised, the service stays correct.  This subpackage makes that argument
 executable:
 
-* :mod:`repro.itsys.events` -- a small discrete-event simulation engine;
 * :mod:`repro.itsys.replica` -- replicas, replica groups and quorum sizing;
 * :mod:`repro.itsys.attacker` -- an attacker model that weaponises
   vulnerabilities from a corpus with exploit-arrival processes;
@@ -20,7 +19,6 @@ executable:
 
 from repro.itsys.attacker import Attacker, ExploitEvent, best_exploit_entry
 from repro.itsys.bft import BFTService, ServiceState
-from repro.itsys.events import Event, EventQueue
 from repro.itsys.replica import Replica, ReplicaGroup
 from repro.itsys.scenarios import (
     CLOSURE_MODELS,
@@ -44,8 +42,6 @@ from repro.itsys.simulation import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Replica",
     "ReplicaGroup",
     "Attacker",

@@ -93,7 +93,6 @@ import random
 import statistics
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -101,11 +100,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
 )
 
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.analysis.engine import ReplicaIncidence
+from repro.core.constants import OS_NAMES
 from repro.core.enums import ServerConfiguration
 from repro.core.exceptions import SimulationError
 from repro.core.models import VulnerabilityEntry
@@ -122,8 +121,6 @@ ARRIVALS: Tuple[str, ...] = ("poisson", "aging")
 
 #: Two-sided z for the 95% Wilson score interval.
 _WILSON_Z = 1.959963984540054
-
-T = TypeVar("T")
 
 
 def wilson_interval(
@@ -259,62 +256,44 @@ class RunRangeTallies:
         return self.run_stop - self.run_start
 
 
-def order_contiguous(
-    partials: Sequence[T],
-    span_of: Callable[[T], Tuple[int, int]],
-) -> List[T]:
-    """Sort partials by span start and verify they tile one contiguous range.
-
-    This is the merge-ordering discipline: sorting first makes the merge
-    independent of worker completion order, and the walk then demands that
-    each half-open ``[start, stop)`` span begins exactly where the previous
-    one stopped.  Empty spans (``start == stop``) are permitted and simply
-    contribute nothing.  Returns the ordered partials; raises
-    :class:`ValueError` (message containing ``"not contiguous"``) on gaps,
-    overlaps or duplicates, and on an empty partial list.
-    """
-    if not partials:
-        raise ValueError("cannot merge an empty list of spans")
-    ordered = sorted(partials, key=lambda partial: span_of(partial)[0])
-    expected = span_of(ordered[0])[0]
-    for partial in ordered:
-        start, stop = span_of(partial)
-        if stop < start:
-            raise ValueError(f"invalid span [{start}, {stop})")
-        if start != expected and start != stop:
-            raise ValueError(
-                f"spans are not contiguous: expected a span starting at "
-                f"{expected}, got [{start}, {stop})"
-            )
-        expected = max(expected, stop)
-    return ordered
-
-
 def merge_run_ranges(partials: Sequence[RunRangeTallies]) -> RunRangeTallies:
     """Merge disjoint partial tallies into one contiguous range.
 
     Merging is **order-independent**: partials are sorted by ``run_start``
-    before concatenation (:func:`order_contiguous`), so shuffled
-    worker-completion orders produce the same merged tallies bit for bit
-    (regression-tested by ``tests/runner/test_merge.py``).  Gaps, overlaps
-    and duplicated ranges raise
-    :class:`~repro.core.exceptions.SimulationError` instead of silently
-    corrupting the statistics.
+    before concatenation, so shuffled worker-completion orders produce the
+    same merged tallies bit for bit (regression-tested by
+    ``tests/runner/test_merge.py``).  Each range must start where the one
+    before it stopped: gaps, overlaps, duplicated ranges and an empty list
+    raise :class:`~repro.core.exceptions.SimulationError` instead of
+    silently corrupting the statistics.
     """
-    try:
-        ordered = order_contiguous(
-            partials, lambda tallies: (tallies.run_start, tallies.run_stop)
-        )
-    except ValueError as error:
-        raise SimulationError(f"run ranges: {error}") from error
+    if not partials:
+        raise SimulationError("run ranges: cannot merge an empty list")
+    ordered = sorted(partials, key=lambda tallies: tallies.run_start)
     reach_times: List[Tuple[float, ...]] = []
     for tallies in ordered:
+        expected = ordered[0].run_start + len(reach_times)
+        if tallies.run_start != expected:
+            raise SimulationError(
+                f"run ranges are not contiguous: expected a range starting "
+                f"at {expected}, got [{tallies.run_start}, {tallies.run_stop})"
+            )
         reach_times.extend(tallies.reach_times)
     return RunRangeTallies(
         run_start=ordered[0].run_start,
         run_stop=ordered[-1].run_stop,
         reach_times=tuple(reach_times),
     )
+
+
+def is_catalogued(dataset: VulnerabilityDataset) -> bool:
+    """Whether every OS of ``dataset`` is one of the paper's eleven.
+
+    Replica groups over such a dataset resolve OS names against the
+    catalogue (aliases allowed, typos fail fast); a scaled catalogue's
+    release names (``generate_scaled_catalogue``) are kept verbatim.
+    """
+    return set(dataset.os_names) <= set(OS_NAMES)
 
 
 def result_from_tallies(
@@ -370,10 +349,12 @@ class CompromiseSimulation:
 
     ``entries`` may be a :class:`~repro.analysis.dataset.VulnerabilityDataset`,
     which the simulation then shares (with its memoised views); otherwise a
-    dataset is built over the entries.  ``engine`` selects the execution
-    path (see the module docstring); ``catalogued=False`` skips OS-name
-    normalisation so synthetic scaled catalogues
-    (``generate_scaled_catalogue``) can be simulated.
+    dataset is built over the entries and the paper's OS catalogue.
+    ``engine`` selects the execution path (see the module docstring).
+    Replica OS names are normalised against the catalogue only when the
+    dataset's OSes all belong to it (:func:`is_catalogued`), so a scaled
+    catalogue is simulated over its own dataset
+    (``generate_scaled_catalogue(...).dataset()``).
     """
 
     def __init__(
@@ -382,7 +363,6 @@ class CompromiseSimulation:
         configuration: ServerConfiguration = ServerConfiguration.ISOLATED_THIN,
         seed: int = 7,
         engine: str = "bitset",
-        catalogued: bool = True,
     ) -> None:
         if engine not in ENGINES:
             raise SimulationError(
@@ -396,7 +376,7 @@ class CompromiseSimulation:
         self._configuration = configuration
         self._seed = seed
         self._engine = engine
-        self._catalogued = catalogued
+        self._catalogued = is_catalogued(self._dataset)
 
     @property
     def engine(self) -> str:
@@ -416,7 +396,6 @@ class CompromiseSimulation:
             configuration=self._configuration,
             seed=self._seed,
             engine=engine,
-            catalogued=self._catalogued,
         )
 
     # -- compiled state -------------------------------------------------------------

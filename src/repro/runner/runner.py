@@ -50,6 +50,7 @@ from repro.itsys.simulation import (
     CompromiseSimulation,
     RunRangeTallies,
     SimulationResult,
+    is_catalogued,
     merge_run_ranges,
     result_from_tallies,
 )
@@ -83,15 +84,10 @@ def _init_worker(
     configuration: ServerConfiguration,
     seed: int,
     engine: str,
-    catalogued: bool,
 ) -> None:
     global _WORKER_SIMULATION
     _WORKER_SIMULATION = CompromiseSimulation(
-        dataset,
-        configuration=configuration,
-        seed=seed,
-        engine=engine,
-        catalogued=catalogued,
+        dataset, configuration=configuration, seed=seed, engine=engine
     )
 
 
@@ -291,7 +287,6 @@ class GridRunner:
         seed: int = 7,
         engine: str = "bitset",
         configuration: ServerConfiguration = ServerConfiguration.ISOLATED_THIN,
-        catalogued: bool = True,
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -312,7 +307,9 @@ class GridRunner:
         self._seed = seed
         self._engine = engine
         self._configuration = configuration
-        self._catalogued = catalogued
+        #: Keys cache entries apart from a scaled catalogue's (see
+        #: :func:`~repro.itsys.simulation.is_catalogued`).
+        self._catalogued = is_catalogued(self._dataset)
         self._workers = workers
         self._cache = cache
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -387,7 +384,6 @@ class GridRunner:
                 configuration=self._configuration,
                 seed=self._seed,
                 engine=self._engine,
-                catalogued=self._catalogued,
             )
         return self._local
 
@@ -475,11 +471,7 @@ class GridRunner:
             max_workers=self._workers,
             initializer=_init_worker,
             initargs=(
-                self._dataset,
-                self._configuration,
-                self._seed,
-                self._engine,
-                self._catalogued,
+                self._dataset, self._configuration, self._seed, self._engine
             ),
         ) as pool:
             futures: List[Future] = []

@@ -52,7 +52,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.service.config import ServiceConfig, ServiceConfigError
-from repro.service.server import DiversityService, _handle_connection
+from repro.service.server import (
+    DiversityService,
+    Listener,
+    LoopThread,
+    serve_and_drain,
+)
 
 #: How long ``ServiceCluster.start`` waits for every worker's internal
 #: health check before declaring the deployment dead.
@@ -132,56 +137,27 @@ def _reuseport_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-async def _worker_serve(
-    app: DiversityService,
-    config: ServiceConfig,
-    public: Optional[Tuple[str, int]],
-) -> int:
-    """One worker's event loop: internal listener, optional public listener."""
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-
-    def handler(reader, writer):
-        return _handle_connection(app, reader, writer)
-
-    internal_host, internal_port = _host_port(config.peers[config.shard_index])
-    internal = await asyncio.start_server(
-        handler, host=internal_host, port=internal_port
-    )
-    servers = [internal]
-    if public is not None:
-        servers.append(
-            await asyncio.start_server(
-                handler, sock=_reuseport_socket(public[0], public[1])
-            )
-        )
-    app.obs_log.log(
-        "worker.up",
-        shard=config.shard_index,
-        shards=len(config.peers),
-        internal=f"http://{internal_host}:{internal_port}",
-        public=f"http://{public[0]}:{public[1]}" if public else None,
-    )
-    await stop.wait()
-    for server in servers:
-        server.close()
-        await server.wait_closed()
-    drained = await app.drain_async(config.drain_grace)
-    app.shutdown()
-    return 0 if drained else 1
-
-
 def worker_main(
     config: ServiceConfig, public: Optional[Tuple[str, int]]
 ) -> None:
     """Spawn target for one worker process (must stay module-level)."""
     app = DiversityService(config)
-    sys.exit(asyncio.run(_worker_serve(app, config, public)))
+    listeners: List[Listener] = [_host_port(config.peers[config.shard_index])]
+    if public is not None:
+        listeners.append(_reuseport_socket(*public))
+
+    def up(addresses, _stop) -> None:
+        host, port = addresses[0]
+        app.obs_log.log(
+            "worker.up",
+            shard=config.shard_index,
+            shards=len(config.peers),
+            internal=f"http://{host}:{port}",
+            public=f"http://{public[0]}:{public[1]}" if public else None,
+        )
+
+    drained = asyncio.run(serve_and_drain(app, listeners, up))
+    sys.exit(0 if drained else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +197,7 @@ class FrontRouter:
         self._port = port
         self._backends = list(backends)
         self._next = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
+        self._thread = LoopThread("repro-front-router")
         self.bound_port: Optional[int] = None
 
     async def _relay(
@@ -250,61 +224,20 @@ class FrontRouter:
                 except (ConnectionResetError, BrokenPipeError, OSError):
                     pass
 
+    async def _proxy(self, ready) -> None:
+        stop = asyncio.get_running_loop().create_future()
+        server = await asyncio.start_server(self._relay, self._host, self._port)
+        ready(server.sockets[0].getsockname()[1], stop)
+        await stop
+        server.close()
+
     def start(self) -> int:
         """Bind and proxy on a background thread; returns the bound port."""
-        ready = threading.Event()
-        failure: Dict[str, BaseException] = {}
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-
-            async def main() -> None:
-                self._stop = asyncio.Event()
-                try:
-                    server = await asyncio.start_server(
-                        self._relay, host=self._host, port=self._port
-                    )
-                except OSError as error:
-                    failure["error"] = error
-                    ready.set()
-                    return
-                self.bound_port = server.sockets[0].getsockname()[1]
-                ready.set()
-                await self._stop.wait()
-                server.close()
-                await server.wait_closed()
-
-            loop.run_until_complete(main())
-            # Reap in-flight relay tasks before closing the loop, so no
-            # half-open transport is garbage-collected against a dead loop.
-            pending = [
-                task for task in asyncio.all_tasks(loop) if not task.done()
-            ]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-front-router", daemon=True
-        )
-        self._thread.start()
-        if not ready.wait(timeout=10) or self.bound_port is None:
-            raise RuntimeError(
-                f"front-router failed to start: {failure.get('error', 'timeout')}"
-            )
+        self.bound_port = self._thread.start(self._proxy)
         return self.bound_port
 
     def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        self._thread.stop()
 
 
 # ---------------------------------------------------------------------------

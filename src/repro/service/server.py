@@ -13,10 +13,13 @@ Two layers live here:
 * the **asyncio HTTP/1.1 front end** -- a stdlib-only
   ``asyncio.start_server`` loop that parses requests, runs ``dispatch``
   on a small thread pool (compiles and SQLite reads never block the event
-  loop) and writes JSON responses with keep-alive support.
-  :func:`serve` is the blocking CLI entry point with graceful
-  SIGTERM/SIGINT drain; :class:`ServiceServer` runs the same loop on a
-  background thread for tests, benchmarks and the worked example.
+  loop) and writes JSON responses with keep-alive support.  Every server
+  runs one lifecycle, :func:`serve_and_drain`: bind, serve until a stop,
+  close the listeners, give running jobs a grace period, release the
+  request pool.  :func:`serve` runs it as the blocking CLI entry point
+  (SIGTERM/SIGINT stop it), each cluster worker runs it on its own
+  listeners, and :class:`ServiceServer` runs it on a background thread for
+  tests, benchmarks and the worked example.
 
 Endpoints (all payloads are canonical JSON, see ``docs/service.md``)::
 
@@ -41,17 +44,20 @@ Endpoints (all payloads are canonical JSON, see ``docs/service.md``)::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import signal
+import socket
 import sqlite3
 import sys
 import tempfile
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as StartTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.core.enums import ServerConfiguration
@@ -753,8 +759,8 @@ class DiversityService:
             }
         except sqlite3.OperationalError as error:
             # SQLITE_BUSY: another writer held the ledger's write lock for
-            # the whole busy timeout.  No snapshot was cut; rows already
-            # upserted read as unchanged when the delta is retried.
+            # the whole busy timeout.  The delta is one transaction, so it
+            # wrote nothing and a retry applies it whole.
             if str(error) != "database is locked":
                 raise
             raise Busy(
@@ -796,18 +802,8 @@ class DiversityService:
         processes, and N workers each forking an N-process pool would run
         N² processes.  The payload is the same for any worker count.
         """
-        from repro.core.constants import OS_NAMES
-
-        # Paper-catalogue datasets get alias-tolerant OS-name normalisation;
-        # scaled catalogues (release names outside the 11-OS study) must
-        # skip it or every replica-group lookup fails.
-        catalogued = set(job.dataset.os_names) <= set(OS_NAMES)
         runner = GridRunner.for_dataset(
-            job.dataset,
-            seed=job.seed,
-            workers=1,
-            catalogued=catalogued,
-            metrics=self.metrics,
+            job.dataset, seed=job.seed, workers=1, metrics=self.metrics
         )
         return runner.run(job.grid).to_json_payload()
 
@@ -1052,33 +1048,77 @@ async def _handle_connection(
             pass
 
 
-async def _serve_forever(
-    app: DiversityService, config: ServiceConfig, log=print
-) -> int:
+#: A ``(host, port)`` to bind, or an already-bound listening socket (a
+#: worker's ``SO_REUSEPORT`` share of the public port).
+Listener = Union[Tuple[str, int], socket.socket]
+
+
+def request_stop(stop: "asyncio.Future", value: object) -> None:
+    """Resolve ``stop`` with ``value`` (on its loop); a prior stop wins."""
+    if not stop.done():
+        stop.set_result(value)
+
+
+async def serve_and_drain(
+    app: DiversityService,
+    listeners: Sequence[Listener],
+    on_bound: Callable[..., None],
+) -> bool:
+    """The lifecycle every server runs; True when every job finished.
+
+    On the main thread, SIGTERM and SIGINT request a stop with the config's
+    ``drain_grace``.  Each listener is bound, then ``on_bound`` gets the
+    bound ``(host, port)`` addresses, in order, and the ``stop`` future,
+    which :func:`request_stop` resolves with a drain grace in seconds.  Once
+    it does, the listeners close, running jobs get that grace to finish
+    (``drain_async``) and the request pool is released (``shutdown``).
+    """
     loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    server = await asyncio.start_server(
-        lambda reader, writer: _handle_connection(app, reader, writer),
-        host=config.host,
-        port=config.port,
-    )
-    bound = server.sockets[0].getsockname()
-    log(
-        f"repro service listening on http://{bound[0]}:{bound[1]} "
-        f"(dataset: {app.provider.source})",
-        file=sys.stderr,
-    )
-    await stop.wait()
-    log("signal received; draining ...", file=sys.stderr)
-    server.close()
-    await server.wait_closed()
-    drained = await app.drain_async(config.drain_grace)
+    stop = loop.create_future()
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            with contextlib.suppress(NotImplementedError):  # Windows loops
+                loop.add_signal_handler(signum, request_stop, stop, app.config.drain_grace)
+
+    def handle(reader, writer):
+        return _handle_connection(app, reader, writer)
+
+    servers = []
+    try:
+        for listener in listeners:
+            if isinstance(listener, socket.socket):
+                servers.append(await asyncio.start_server(handle, sock=listener))
+            else:
+                servers.append(await asyncio.start_server(handle, *listener))
+        on_bound([server.sockets[0].getsockname()[:2] for server in servers], stop)
+        grace = await stop
+    finally:
+        # Open connections are cancelled when the loop ends: ``wait_closed``
+        # (Python 3.12+) would hold the drain behind idle keep-alive clients.
+        for server in servers:
+            server.close()
+    drained = await app.drain_async(grace)
     app.shutdown()
+    return drained
+
+
+def serve(config: ServiceConfig, provider=None, log=print) -> int:
+    """Run the server until SIGTERM/SIGINT; the ``repro serve`` entry point."""
+    app = DiversityService(config, provider)
+
+    def announce(addresses, stop) -> None:
+        host, port = addresses[0]
+        log(
+            f"repro service listening on http://{host}:{port} "
+            f"(dataset: {app.provider.source})",
+            file=sys.stderr,
+        )
+        stop.add_done_callback(
+            lambda _stop: log("signal received; draining ...", file=sys.stderr)
+        )
+
+    listeners = [(config.host, config.port)]
+    drained = asyncio.run(serve_and_drain(app, listeners, announce))
     log(
         "shutdown complete" if drained else "shutdown with unfinished jobs",
         file=sys.stderr,
@@ -1086,20 +1126,64 @@ async def _serve_forever(
     return 0 if drained else 1
 
 
-def serve(config: ServiceConfig, provider=None) -> int:
-    """Run the server until SIGTERM/SIGINT; the ``repro serve`` entry point."""
-    app = DiversityService(config, provider)
-    return asyncio.run(_serve_forever(app, config))
+class LoopThread:
+    """One serving coroutine on its own event loop, on a daemon thread.
+
+    :meth:`start` runs ``main(ready)`` and returns the value ``main``
+    passes to ``ready(value, stop)`` once it listens, or raises
+    ``RuntimeError`` when a bind fails first.  :meth:`stop` resolves
+    ``stop`` with a value from any thread, joins the thread and returns
+    what ``main`` returned; tasks ``main`` leaves behind (open
+    connections) are cancelled before the loop closes.
+    :class:`ServiceServer` and the cluster's front router run on it.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+        self._thread: Optional[threading.Thread] = None
+        self._stop: Optional[asyncio.Future] = None
+        self._result: object = None
+
+    def start(self, main: Callable[..., Awaitable]) -> object:
+        ready: Future = Future()
+
+        def report(value: object, stop: asyncio.Future) -> None:
+            self._stop = stop
+            ready.set_result(value)
+
+        def run() -> None:
+            try:
+                self._result = asyncio.run(main(report))
+            except OSError as error:  # a bind failed
+                ready.set_exception(error)
+
+        self._thread = threading.Thread(target=run, name=self._name, daemon=True)
+        self._thread.start()
+        try:
+            return ready.result(timeout=10.0)
+        except (OSError, StartTimeout) as error:
+            reason = str(error) or "not listening after 10 s"
+            raise RuntimeError(f"{self._name} failed to start: {reason}") from error
+
+    def stop(self, value: object = None) -> object:
+        if self._stop is not None:
+            with contextlib.suppress(RuntimeError):  # closed: ``main`` returned
+                self._stop.get_loop().call_soon_threadsafe(
+                    request_stop, self._stop, value
+                )
+            self._thread.join()
+        return self._result
 
 
 class ServiceServer:
-    """The same asyncio server, on a background thread (tests/benchmarks).
+    """:func:`serve_and_drain` on a background thread (tests/benchmarks).
 
-    ``start()`` binds (port 0 picks a free port), returns the base URL and
-    leaves the loop running on a daemon thread; ``stop()`` closes the
-    listener, drains jobs and joins the thread.  The wrapped
-    :class:`DiversityService` stays accessible as ``.app`` so harnesses
-    can assert on registry/cache counters while requests fly.
+    ``start()`` binds (port 0 picks a free port) and returns the base URL,
+    or raises ``RuntimeError`` when the bind fails.  ``stop()`` closes the
+    listener, drains jobs (for ``drain_grace`` seconds, the config's by
+    default), joins the thread and returns whether every job finished.
+    The wrapped :class:`DiversityService` stays accessible as ``.app`` so
+    harnesses can assert on registry/cache counters while requests fly.
     """
 
     def __init__(
@@ -1109,69 +1193,24 @@ class ServiceServer:
         port: int = 0,
     ) -> None:
         self.app = app
-        self._host = host
-        self._port = port
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
+        self._listener = (host, port)
+        self._thread = LoopThread("repro-service")
         self.base_url: Optional[str] = None
 
     def start(self) -> str:
         """Bind and serve on a background thread; returns the base URL."""
-        ready = threading.Event()
-        failure: Dict[str, BaseException] = {}
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-
-            async def main() -> None:
-                self._stop = asyncio.Event()
-                try:
-                    server = await asyncio.start_server(
-                        lambda reader, writer: _handle_connection(
-                            self.app, reader, writer
-                        ),
-                        host=self._host,
-                        port=self._port,
-                    )
-                except OSError as error:
-                    failure["error"] = error
-                    ready.set()
-                    return
-                bound = server.sockets[0].getsockname()
-                self.base_url = f"http://{bound[0]}:{bound[1]}"
-                ready.set()
-                await self._stop.wait()
-                server.close()
-                await server.wait_closed()
-
-            loop.run_until_complete(main())
-            loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-service", daemon=True
+        addresses = self._thread.start(
+            lambda ready: serve_and_drain(self.app, [self._listener], ready)
         )
-        self._thread.start()
-        if not ready.wait(timeout=10) or self.base_url is None:
-            raise RuntimeError(
-                f"service failed to start: {failure.get('error', 'timeout')}"
-            )
+        host, port = addresses[0]
+        self.base_url = f"http://{host}:{port}"
         return self.base_url
 
     def stop(self, drain_grace: Optional[float] = None) -> bool:
         """Close the listener, drain jobs, join the loop thread."""
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        grace = (
-            drain_grace if drain_grace is not None else self.app.config.drain_grace
-        )
-        drained = self.app.jobs.drain(grace)
-        self.app.shutdown()
-        return drained
+        if drain_grace is None:
+            drain_grace = self.app.config.drain_grace
+        return bool(self._thread.stop(drain_grace))
 
     def __enter__(self) -> "ServiceServer":
         self.start()

@@ -20,7 +20,9 @@ For every raw delta entry the pipeline:
 
 After the database mutation the attached snapshot store commits, so each
 applied delta yields exactly one ledger entry (or none, when the delta was
-already applied) whose digest identifies the resulting dataset state.
+already applied) whose digest identifies the resulting dataset state.  The
+mutation and the commit are one SQLite transaction: a delta is applied
+whole or not at all.
 """
 
 from __future__ import annotations
@@ -122,24 +124,30 @@ class DeltaIngestPipeline:
         The report's ``snapshot`` is the committed ledger record; a
         long-lived consumer (the serving layer's response cache) evicts
         what its diff from the parent touches once this returns.
+
+        The upserts, the tombstones and the snapshot commit run in one
+        write transaction: a delta that fails part-way leaves the rows and
+        the ledger as they were, and no concurrent commit can capture half
+        of it.
         """
         started = self._clock.perf()
         report = DeltaReport(parsed_entries=len(raw_entries))
-        for raw in raw_entries:
-            outcome = self._apply_one(raw)
-            report.by_outcome[outcome] = report.by_outcome.get(outcome, 0) + 1
-            if outcome == "added":
-                report.added += 1
-            elif outcome == "modified":
-                report.modified += 1
-            elif outcome == "unchanged":
-                report.unchanged += 1
-            elif outcome == "removed":
-                report.removed += 1
-            else:
-                report.skipped_no_os += 1
-        if commit:
-            report.snapshot = self.store.commit(source=source, created=created)
+        with self.database.transaction():
+            for raw in raw_entries:
+                outcome = self._apply_one(raw)
+                report.by_outcome[outcome] = report.by_outcome.get(outcome, 0) + 1
+                if outcome == "added":
+                    report.added += 1
+                elif outcome == "modified":
+                    report.modified += 1
+                elif outcome == "unchanged":
+                    report.unchanged += 1
+                elif outcome == "removed":
+                    report.removed += 1
+                else:
+                    report.skipped_no_os += 1
+            if commit:
+                report.snapshot = self.store.commit(source=source, created=created)
         elapsed = self._clock.perf() - started
         self._apply_seconds.observe(elapsed)
         self._blast_entries.observe(report.changed)

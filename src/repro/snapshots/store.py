@@ -197,17 +197,14 @@ class SnapshotStore:
         recorded for provenance and never feeds digests.
 
         The live-state read, the head read and the inserts run in one
-        transaction that takes SQLite's write lock first (``BEGIN
-        IMMEDIATE``), so concurrent commits -- from threads or from other
-        worker processes -- queue on the lock and chain one after another
-        instead of forking off one head.  A commit whose changes a
-        concurrent commit already captured returns that snapshot, as a
-        replayed delta does.
+        write transaction (:meth:`VulnerabilityDatabase.transaction
+        <repro.db.database.VulnerabilityDatabase.transaction>`), which
+        takes SQLite's write lock first, so concurrent commits -- from
+        threads or from other worker processes -- queue on the lock and
+        chain one after another instead of forking off one head.  Inside
+        a caller's transaction (a delta's) the commit joins it.
         """
-        # On exit the ``with`` block commits (ending the transaction on the
-        # no-op return too) or, on an exception, rolls back.
-        with self._conn:
-            self._conn.execute("BEGIN IMMEDIATE")
+        with self._db.transaction():
             live = self._db.live_state()
             digest = dataset_digest(live)
             head = self.head()

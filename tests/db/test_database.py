@@ -1,10 +1,13 @@
 """Tests for the SQLite vulnerability database."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
 from repro.core.exceptions import DatabaseError
 from repro.db.database import VulnerabilityDatabase
+from repro.db.ingest import IngestPipeline
 from repro.db.schema import SCHEMA_STATEMENTS
 from tests.conftest import make_entry
 
@@ -116,3 +119,39 @@ class TestManualEnrichment:
     def test_set_validity_unknown_cve(self, db):
         with pytest.raises(DatabaseError):
             db.set_validity("CVE-1900-0001", ValidityStatus.VALID)
+
+
+class TestTransaction:
+    """``transaction()`` is the one write path; nested calls join it."""
+
+    def test_a_nested_write_rolls_back_with_its_outer_transaction(self, db):
+        db.insert_entry(make_entry("CVE-2005-0001"))
+        with pytest.raises(DatabaseError, match="CVE-2005-0002"):
+            with db.transaction():
+                db.insert_entry(make_entry("CVE-2005-0002"))
+                db.tombstone_entry("CVE-2005-0001")
+                db.insert_entry(make_entry("CVE-2005-0002"))
+        assert not db.connection.in_transaction
+        assert set(db.live_state()) == {"CVE-2005-0001"}
+
+    def test_the_outermost_call_takes_the_write_lock_first(self, tmp_path):
+        path = tmp_path / "ledger.db"
+        other = sqlite3.connect(path, timeout=0.05)
+        try:
+            with VulnerabilityDatabase(path) as database:
+                with database.transaction():
+                    # Nothing written yet, and the lock is already held.
+                    with pytest.raises(sqlite3.OperationalError, match="locked"):
+                        other.execute("BEGIN IMMEDIATE")
+                other.execute("BEGIN IMMEDIATE")
+                other.rollback()
+        finally:
+            other.close()
+
+    def test_a_full_ingest_is_one_transaction(self):
+        pipeline = IngestPipeline()
+        duplicate = [make_entry("CVE-2005-0001"), make_entry("CVE-2005-0002"),
+                     make_entry("CVE-2005-0001")]
+        with pytest.raises(DatabaseError, match="CVE-2005-0001"):
+            pipeline.ingest_entries(duplicate)
+        assert pipeline.database.entry_count() == 0

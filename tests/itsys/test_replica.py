@@ -1,88 +1,9 @@
-"""Tests for the event queue and the replica/replica-group model."""
+"""Tests for the replica/replica-group model."""
 
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.itsys.events import EventQueue
 from repro.itsys.replica import Replica, ReplicaGroup
-
-
-class TestEventQueue:
-    def test_events_delivered_in_time_order(self):
-        queue = EventQueue()
-        queue.schedule(3.0, "c")
-        queue.schedule(1.0, "a")
-        queue.schedule(2.0, "b")
-        kinds = [queue.pop().kind for _ in range(3)]
-        assert kinds == ["a", "b", "c"]
-
-    def test_ties_broken_by_insertion_order(self):
-        queue = EventQueue()
-        queue.schedule(1.0, "first")
-        queue.schedule(1.0, "second")
-        assert queue.pop().kind == "first"
-        assert queue.pop().kind == "second"
-
-    def test_clock_advances(self):
-        queue = EventQueue()
-        queue.schedule(5.0, "x")
-        assert queue.now == 0.0
-        queue.pop()
-        assert queue.now == 5.0
-
-    def test_cannot_schedule_in_the_past(self):
-        queue = EventQueue()
-        queue.schedule(5.0, "x")
-        queue.pop()
-        with pytest.raises(ValueError):
-            queue.schedule(1.0, "y")
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_peek_does_not_consume(self):
-        queue = EventQueue()
-        queue.schedule(1.0, "x")
-        assert queue.peek().kind == "x"
-        assert len(queue) == 1
-
-    def test_run_with_horizon(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(1.0, "a")
-        queue.schedule(2.0, "b")
-        queue.schedule(10.0, "c")
-        processed = queue.run(lambda event: seen.append(event.kind), until=5.0)
-        assert processed == 2
-        assert seen == ["a", "b"]
-        assert queue.now == 5.0
-
-    def test_run_handler_can_schedule_more_events(self):
-        queue = EventQueue()
-        seen = []
-
-        def handler(event):
-            seen.append(event.time)
-            if event.time < 3:
-                queue.schedule(event.time + 1, "next")
-
-        queue.schedule(1.0, "start")
-        queue.run(handler)
-        assert seen == [1.0, 2.0, 3.0]
-
-    def test_run_max_events(self):
-        queue = EventQueue()
-        for t in range(10):
-            queue.schedule(float(t), "tick")
-        assert queue.run(lambda e: None, max_events=4) == 4
-        assert len(queue) == 6
-
-    def test_drain(self):
-        queue = EventQueue()
-        queue.schedule(1.0, "a")
-        queue.schedule(2.0, "b")
-        assert [event.kind for event in queue.drain()] == ["a", "b"]
 
 
 class TestReplica:

@@ -9,12 +9,14 @@ from repro.itsys.simulation import CompromiseSimulation
 from repro.runner import (
     ArrivalSpec,
     ExperimentGrid,
+    GridRunner,
     ResultCache,
     cell_key,
     corpus_digest,
     result_from_json,
     result_to_json,
 )
+from repro.synthetic.generator import generate_scaled_catalogue
 
 SET1 = ("Windows2003", "Solaris", "Debian", "OpenBSD")
 
@@ -162,3 +164,49 @@ class TestResultCache:
         assert cache.get("second") == result
         assert sorted(p.name for p in target.iterdir()) == ["second.json"]
         assert cache.writes == 2
+
+
+class TestDerivedCatalogued:
+    """Runners derive ``catalogued`` from the OS names of their dataset."""
+
+    GROUP = ("F00-R00", "F01-R01", "F02-R02", "F00-R01")
+
+    def test_a_scaled_catalogue_keys_as_an_explicit_uncatalogued_cell(
+        self, tmp_path
+    ):
+        dataset = generate_scaled_catalogue(
+            n_families=3, releases_per_family=3
+        ).dataset()
+        grid = ExperimentGrid(
+            configurations={"mixed": self.GROUP},
+            quorum_models=("3f+1", "2f+1"),
+            runs=20,
+            horizon=3.0,
+        )
+        cache = ResultCache(tmp_path)
+        report = GridRunner.for_dataset(dataset, seed=5, cache=cache).run(grid)
+        simulation = CompromiseSimulation(dataset, seed=5)
+        for cell in report.cells:
+            key = cell_key(
+                cell.scope_digest, cell.cell, 5, "bitset", catalogued=False
+            )
+            assert cache.get(key) == cell.result
+            assert cell.result == simulation.run_configuration(
+                cell.cell.cell_id,
+                cell.cell.os_names,
+                runs=cell.cell.runs,
+                quorum_model=cell.cell.quorum_model,
+                **cell.cell.campaign_kwargs(),
+            )
+        assert sorted(path.stem for path in tmp_path.iterdir()) == sorted(
+            cell_key(cell.scope_digest, cell.cell, 5, "bitset", catalogued=False)
+            for cell in report.cells
+        )
+
+    def test_the_paper_corpus_keys_as_catalogued(self, tmp_path, dataset):
+        grid = ExperimentGrid(configurations={"Set1": SET1}, runs=4, horizon=1.0)
+        cache = ResultCache(tmp_path)
+        (cell,) = GridRunner.for_dataset(dataset, seed=5, cache=cache).run(grid).cells
+        assert cache.get(cell_key(cell.scope_digest, cell.cell, 5, "bitset")) == (
+            cell.result
+        )

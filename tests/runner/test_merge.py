@@ -11,6 +11,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.exceptions import SimulationError
 from repro.itsys.simulation import (
@@ -89,6 +90,27 @@ class TestMergeOrderIndependence:
     def test_empty_merge_rejected(self):
         with pytest.raises(SimulationError):
             merge_run_ranges([])
+
+    def test_duplicate_range_rejected(self, simulation):
+        first = simulation.run_range(SET1, 0, 5, horizon=3.0)
+        with pytest.raises(SimulationError, match="not contiguous"):
+            merge_run_ranges([first, first])
+
+    @given(
+        st.lists(st.integers(0, 500), min_size=2, max_size=17, unique=True),
+        st.randoms(),
+    )
+    def test_any_shuffled_partition_merges_to_the_whole(self, bounds, rng):
+        bounds = sorted(bounds)
+        whole = tuple((float(run),) for run in range(bounds[0], bounds[-1]))
+        partials = [
+            RunRangeTallies(start, stop, whole[start - bounds[0]:stop - bounds[0]])
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        rng.shuffle(partials)
+        assert merge_run_ranges(partials) == RunRangeTallies(
+            bounds[0], bounds[-1], whole
+        )
 
 
 class TestRunRangeEquivalence:

@@ -101,7 +101,7 @@ def _callers(entries, os_names, targeted, configuration):
         ).scope_digest(os_names if targeted else None, configuration)
         for engine in ENGINES
     )
-    runner = GridRunner(entries, configuration=configuration, catalogued=False)
+    runner = GridRunner(entries, configuration=configuration)
     return service + (runner.scope_digest(_cell(os_names, targeted)),)
 
 

@@ -6,6 +6,7 @@ import sqlite3
 import pytest
 
 from repro.core.enums import ValidityStatus
+from repro.core.exceptions import DatabaseError
 from repro.db.database import VulnerabilityDatabase
 from repro.db.ingest import IngestPipeline
 from repro.db.schema import SCHEMA_VERSION, migrate_connection
@@ -139,6 +140,85 @@ class TestFeedApplication:
         report = delta.apply_raw([raw()], commit=False)
         assert report.snapshot is None
         assert SnapshotStore(delta.database).head() is None
+
+
+class TestOneTransactionPerDelta:
+    """A delta's upserts, tombstones and snapshot commit are one transaction."""
+
+    BASE = 40
+
+    @staticmethod
+    def _revision(index: int) -> RawFeedEntry:
+        return raw(
+            cve_id=f"CVE-2005-{index:04d}",
+            summary=f"A revised kernel flaw {index} in Debian lets remote "
+            "attackers crash the system.",
+        )
+
+    def _ledger(self, tmp_path) -> VulnerabilityDatabase:
+        """A file ledger with ``BASE`` entries and one snapshot of them."""
+        database = VulnerabilityDatabase(tmp_path / "ledger.db")
+        DeltaIngestPipeline(IngestPipeline(database=database)).apply_raw(
+            [raw(cve_id=f"CVE-2005-{index:04d}") for index in range(self.BASE)],
+            created="2011-06-27T00:00:00+00:00",
+        )
+        return database
+
+    @pytest.mark.parametrize("size", [1, 10, 38])
+    def test_a_delta_commits_twice_whatever_its_size(self, tmp_path, size):
+        database = self._ledger(tmp_path)
+        statements = []
+        database.connection.set_trace_callback(statements.append)
+        # As the ingest endpoint does it: a fresh pipeline per delta, whose
+        # catalogue registration is the first of the two commits.
+        delta = DeltaIngestPipeline(IngestPipeline(database=database))
+        report = delta.apply_raw(
+            [self._revision(index) for index in range(size)]
+            + [
+                raw(cve_id="CVE-2006-0001"),
+                rejection_entry(f"CVE-2005-{self.BASE - 1:04d}", raw().published),
+            ]
+        )
+        database.connection.set_trace_callback(None)
+        assert (report.modified, report.added, report.removed) == (size, 1, 1)
+        assert report.snapshot.modified == size
+        commits = [sql for sql in statements if sql.strip().upper() == "COMMIT"]
+        assert len(commits) == 2
+
+    def test_a_delta_that_fails_part_way_changes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        database = self._ledger(tmp_path)
+        store = SnapshotStore(database)
+        head, live = store.head(), database.live_state()
+        rows = list(database.connection.iterdump())
+        upserted = []
+        upsert = database.upsert_entry
+
+        def third_upsert_fails(entry):
+            upserted.append(entry.cve_id)
+            if len(upserted) == 3:
+                raise DatabaseError("injected failure")
+            return upsert(entry)
+
+        monkeypatch.setattr(database, "upsert_entry", third_upsert_fails)
+        delta = DeltaIngestPipeline(IngestPipeline(database=database))
+        with pytest.raises(DatabaseError, match="injected failure"):
+            delta.apply_raw(
+                [
+                    self._revision(0),
+                    rejection_entry("CVE-2005-0005", raw().published),
+                    raw(cve_id="CVE-2006-0001"),
+                    self._revision(1),
+                ]
+            )
+        assert len(upserted) == 3
+        assert not database.connection.in_transaction
+        assert store.head() == head
+        assert database.live_state() == live
+        assert list(database.connection.iterdump()) == rows
+        with VulnerabilityDatabase(tmp_path / "ledger.db") as reader:
+            assert SnapshotStore(reader).head() == head
 
 
 class TestSchemaMigration:

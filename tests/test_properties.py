@@ -12,7 +12,6 @@ from repro.analysis.selection import ReplicaSetSelector
 from repro.core.constants import OS_NAMES
 from repro.core.enums import AccessVector, ComponentClass, ServerConfiguration, ValidityStatus
 from repro.core.models import CVSSVector, VulnerabilityEntry
-from repro.itsys.events import EventQueue
 from repro.itsys.replica import ReplicaGroup
 
 # ---------------------------------------------------------------------------
@@ -156,18 +155,8 @@ def test_exhaustive_selection_is_optimal(matrix, n):
 
 
 # ---------------------------------------------------------------------------
-# event queue and replica-group invariants
+# replica-group invariants
 # ---------------------------------------------------------------------------
-
-
-@given(times=st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=50))
-@settings(max_examples=60, deadline=None)
-def test_event_queue_delivers_in_order(times):
-    queue = EventQueue()
-    for time in times:
-        queue.schedule(time, "tick")
-    delivered = [event.time for event in queue.drain()]
-    assert delivered == sorted(times)
 
 
 @given(
