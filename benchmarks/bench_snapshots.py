@@ -25,7 +25,10 @@ or the full gate including the 10x timing floor::
 
 from __future__ import annotations
 
+import json
+import sqlite3
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,7 @@ from repro.core.enums import ServerConfiguration
 from repro.db.database import VulnerabilityDatabase
 from repro.db.ingest import IngestPipeline
 from repro.runner import ExperimentGrid, GridRunner, ResultCache
+from repro.runner.cache import CACHE_FILE
 from repro.snapshots.delta import DeltaIngestPipeline
 from repro.snapshots.store import SnapshotStore
 from repro.synthetic.evolution import evolve_corpus
@@ -96,6 +100,12 @@ def test_snapshots_smoke_delta_is_idempotent(corpus, ingested):
     print(f"  second apply: {second.summary()}")
 
 
+def _rows(cache):
+    """Every stored ``(key, text)`` row of a sweep cache, as a dict."""
+    with closing(sqlite3.connect(cache.cache_dir / CACHE_FILE)) as connection:
+        return dict(connection.execute("SELECT key, text FROM cells"))
+
+
 def test_snapshots_smoke_selective_cache_invalidation(corpus, tmp_path):
     """After a Debian-only delta, a warm sweep re-runs only Debian cells."""
     database = VulnerabilityDatabase()
@@ -134,8 +144,11 @@ def test_snapshots_smoke_selective_cache_invalidation(corpus, tmp_path):
     diff = store.diff(base.snapshot_id, report.snapshot.snapshot_id)
     assert "Debian" in diff.affected_os_names()
 
-    cached_paths = sorted((tmp_path / "cache").glob("*.json"))
-    cached_bytes = {path: path.read_bytes() for path in cached_paths}
+    cached_rows = _rows(cache)
+    # One row per cold cell, so the byte check below cannot pass vacuously.
+    assert sorted(json.loads(text)["cell_id"] for text in cached_rows.values()) == (
+        sorted(cell.cell.cell_id for cell in cold.cells)
+    )
 
     after = store.dataset_at(report.snapshot.snapshot_id)
     warm = GridRunner(
@@ -151,9 +164,10 @@ def test_snapshots_smoke_selective_cache_invalidation(corpus, tmp_path):
             assert cell.cached, cell.cell.cell_id
     assert rerun == {"debian-mixed"}
     assert served == {"windows-only"}
-    # Cache files of untouched cells are byte-identical on disk.
-    for path, content in cached_bytes.items():
-        assert path.read_bytes() == content
+    # Cached rows of untouched cells are byte-identical in the cache file.
+    after_rows = _rows(cache)
+    for key, text in cached_rows.items():
+        assert after_rows[key] == text
     print(f"\n=== snapshots smoke (selective invalidation) ===")
     print(f"  re-ran : {sorted(rerun)}")
     print(f"  cached : {sorted(served)}")

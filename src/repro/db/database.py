@@ -79,26 +79,43 @@ class VulnerabilityDatabase:
     def register_os_catalog(
         self, catalog: Optional[Mapping[str, OperatingSystem]] = None
     ) -> None:
-        """Insert the OS catalogue (names, families, releases)."""
+        """Insert the OS catalogue (names, families, releases).
+
+        The write runs only when a read finds an OS or a release missing:
+        the ingest endpoint builds a pipeline, and so registers, for every
+        delta, and a stored catalogue then costs one read and no commit.
+        """
         catalog = catalog or OS_CATALOG
-        with self.transaction():
-            for os_obj in catalog.values():
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO os (name, family, vendor, first_release_year)"
-                    " VALUES (?, ?, ?, ?)",
-                    (os_obj.name, os_obj.family.value, os_obj.vendor, os_obj.first_release_year),
-                )
-                if cursor.rowcount:
-                    os_id = cursor.lastrowid
-                else:
-                    # Already registered (idempotent re-registration).
-                    os_id = self._os_id(os_obj.name)
-                for release in os_obj.releases:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO os_release (os_id, version, year)"
-                        " VALUES (?, ?, ?)",
-                        (os_id, release.version, release.year),
+        stored = {
+            (row["name"], row["version"])
+            for row in self._conn.execute(
+                "SELECT name, version FROM os LEFT JOIN os_release USING (os_id)"
+            )
+        }
+        names = {name for name, _version in stored}
+        if any(
+            os_obj.name not in names
+            or any((os_obj.name, release.version) not in stored for release in os_obj.releases)
+            for os_obj in catalog.values()
+        ):
+            with self.transaction():
+                for os_obj in catalog.values():
+                    cursor = self._conn.execute(
+                        "INSERT OR IGNORE INTO os (name, family, vendor, first_release_year)"
+                        " VALUES (?, ?, ?, ?)",
+                        (os_obj.name, os_obj.family.value, os_obj.vendor, os_obj.first_release_year),
                     )
+                    if cursor.rowcount:
+                        os_id = cursor.lastrowid
+                    else:
+                        # Already registered (idempotent re-registration).
+                        os_id = self._os_id(os_obj.name)
+                    for release in os_obj.releases:
+                        self._conn.execute(
+                            "INSERT OR IGNORE INTO os_release (os_id, version, year)"
+                            " VALUES (?, ?, ?)",
+                            (os_id, release.version, release.year),
+                        )
         self._os_ids = {
             row["name"]: row["os_id"]
             for row in self._conn.execute("SELECT os_id, name FROM os")

@@ -9,11 +9,14 @@ safely cacheable under a content address:
     key = sha256(canonical-JSON of {schema, corpus digest, cell params,
                                     seed, engine})
 
-Each cached cell is one pretty-printed JSON file ``<key>.json`` under the
-cache directory, so caches can be inspected, diffed, and pruned with ordinary
-file tools.  Floats survive the JSON round trip exactly (``json`` emits
-``repr``-style shortest round-trip representations), so a cache hit is
-bit-for-bit identical to the cold result -- property-tested by
+Each cached cell is one ``(key, text)`` row of the ``cells`` table in one
+SQLite file, ``cells.sqlite3``, inside the cache directory; ``text`` is the
+cell's pretty-printed JSON record, so a cell can be read back with the
+``sqlite3`` shell, and deleting the directory prunes the cache.  A sweep
+looks up all of its keys in one query and writes every newly simulated cell
+in one transaction.  Floats survive the JSON round trip exactly (``json``
+emits ``repr``-style shortest round-trip representations), so a cache hit
+is bit-for-bit identical to the cold result -- property-tested by
 ``tests/runner/test_cache.py``.
 
 The corpus digest covers every entry field the simulator reads (CVE id,
@@ -37,9 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import sqlite3
+from contextlib import closing
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.enums import ServerConfiguration
 from repro.core.models import VulnerabilityEntry
@@ -54,6 +58,16 @@ from repro.runner.grid import GridCell
 #: recoveries due before each event, which changes adaptive cells with
 #: recovery; their schema-2 entries must not be served.
 CACHE_SCHEMA = 3
+
+#: The SQLite file, inside the cache directory, that holds every cell.
+CACHE_FILE = "cells.sqlite3"
+
+#: Keys bound per lookup statement: below the 999-parameter cap of SQLite
+#: builds before 3.32.
+_KEYS_PER_QUERY = 500
+
+#: Seconds a call waits for another connection's lock before it gives up.
+_LOCK_TIMEOUT = 5.0
 
 
 def corpus_digest(entries: Iterable[VulnerabilityEntry]) -> str:
@@ -141,12 +155,47 @@ def result_from_json(payload: Dict[str, object]) -> SimulationResult:
     )
 
 
+def _encode(key: str, cell: GridCell, result: SimulationResult) -> str:
+    """A cell's row text: its pretty-printed JSON record."""
+    payload = {
+        "schema": CACHE_SCHEMA,
+        "key": key,
+        "cell": cell.params(),
+        "cell_id": cell.cell_id,
+        "result": result_to_json(result),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _decode(text: object) -> Optional[SimulationResult]:
+    """The result a row's text records, or ``None`` when it records none."""
+    try:
+        payload = json.loads(text)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("schema") != CACHE_SCHEMA
+        or "result" not in payload
+    ):
+        return None
+    try:
+        return result_from_json(payload["result"])
+    except (KeyError, TypeError, ValueError):
+        # Structurally-broken result payloads (hand edits, foreign
+        # writers) degrade to recomputation like any other corruption.
+        return None
+
+
 class ResultCache:
-    """File-backed content-addressed cache of sweep cell results.
+    """Content-addressed cache of sweep cell results in one SQLite file.
 
     The cache never invalidates by time: keys embed the corpus digest and
     every campaign parameter, so a stale hit is impossible -- a changed
-    corpus or parameter simply addresses a different file.
+    corpus or parameter simply addresses a different row.  Each call opens
+    its own connection and closes it before returning, so no connection
+    outlives a lookup or a write, and sweeps sharing a directory serialise
+    their writes on SQLite's lock.
     """
 
     def __init__(
@@ -155,6 +204,7 @@ class ResultCache:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._dir = Path(cache_dir)
+        self._file = self._dir / CACHE_FILE
         # Tallies live in the (possibly shared) metrics registry so that
         # ``repro sweep --stats`` and the serving stack report warm/cold
         # behaviour from one source; the int properties below preserve the
@@ -182,63 +232,99 @@ class ResultCache:
     def cache_dir(self) -> Path:
         return self._dir
 
-    def _path(self, key: str) -> Path:
-        return self._dir / f"{key}.json"
-
     def get(self, key: str) -> Optional[SimulationResult]:
-        """The cached result under ``key``, or ``None`` on a miss.
+        """The cached result under ``key``, or ``None`` on a miss."""
+        return self.get_many((key,)).get(key)
 
-        Unreadable or schema-mismatched files count as misses (and will be
-        overwritten on the next :meth:`put`), so cache corruption degrades to
-        recomputation rather than failure.
+    def put(self, key: str, cell: GridCell, result: SimulationResult) -> None:
+        """Store ``result`` under ``key``."""
+        self.put_many(((key, cell, result),))
+
+    def get_many(self, keys: Iterable[str]) -> Dict[str, SimulationResult]:
+        """The cached result under each of ``keys`` that has one.
+
+        One query reads every key.  A missing file, a file that is not a
+        database, a lock held past the timeout and a row whose text is
+        broken or of another schema all read as misses, so cache corruption
+        degrades to recomputation rather than failure.  Hits and misses are
+        counted per key asked for.
         """
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self._events.inc(event="miss")
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != CACHE_SCHEMA
-            or "result" not in payload
-        ):
-            self._events.inc(event="miss")
-            return None
-        try:
-            result = result_from_json(payload["result"])
-        except (KeyError, TypeError, ValueError):
-            # Structurally-broken result payloads (hand edits, foreign
-            # writers) degrade to recomputation like any other corruption.
-            self._events.inc(event="miss")
-            return None
-        self._events.inc(event="hit")
-        return result
+        keys = list(keys)
+        texts = self._read(sorted(set(keys)))
+        found: Dict[str, SimulationResult] = {}
+        for key in keys:
+            result = _decode(texts[key]) if key in texts else None
+            if result is None:
+                self._events.inc(event="miss")
+            else:
+                found[key] = result
+                self._events.inc(event="hit")
+        return found
 
-    def put(self, key: str, cell: GridCell, result: SimulationResult) -> Path:
-        """Store ``result`` under ``key``; returns the written path.
+    def put_many(
+        self, cells: Iterable[Tuple[str, GridCell, SimulationResult]]
+    ) -> None:
+        """Store each ``(key, cell, result)``, all in one transaction.
 
-        The write goes through a same-directory temporary file and an atomic
-        rename, so concurrent sweeps sharing a cache directory never observe
-        half-written JSON.  The directory is made by the first write that
-        finds it missing -- the first ever, or one after a prune -- not
-        before every write.
+        A row's text is the cell's JSON record, byte for byte what schema 3
+        has always written.  The directory is made when a write finds it
+        missing -- the first ever, or one after a prune.  A file that is
+        not a database is replaced by a new one; any other error, such as
+        a lock held past the timeout, propagates and leaves the file as it
+        was.
         """
-        path = self._path(key)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "cell": cell.params(),
-            "cell_id": cell.cell_id,
-            "result": result_to_json(result),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        rows = [(key, _encode(key, cell, result)) for key, cell, result in cells]
+        if not rows:
+            return
+        self._dir.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_text(text, encoding="utf-8")
-        except FileNotFoundError:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
-        self._events.inc(event="write")
-        return path
+            self._write(rows)
+        except sqlite3.DatabaseError as error:
+            # Only a file that is not a database, or a damaged one, raises
+            # the base class; a lock timeout is an OperationalError and must
+            # not cost the file its cells.
+            if type(error) is not sqlite3.DatabaseError:
+                raise
+            self._file.unlink(missing_ok=True)
+            self._write(rows)
+        self._events.inc(len(rows), event="write")
+
+    def _read(self, keys: List[str]) -> Dict[str, str]:
+        """The row text of each of ``keys`` stored; none if the file fails."""
+        if not keys:
+            return {}
+        texts: Dict[str, str] = {}
+        try:
+            # Read-only, so a lookup never creates the file.
+            with closing(sqlite3.connect(
+                self._file.absolute().as_uri() + "?mode=ro",
+                uri=True,
+                timeout=_LOCK_TIMEOUT,
+            )) as connection:
+                for start in range(0, len(keys), _KEYS_PER_QUERY):
+                    chunk = keys[start:start + _KEYS_PER_QUERY]
+                    texts.update(connection.execute(
+                        "SELECT key, text FROM cells WHERE key IN "
+                        f"({', '.join('?' * len(chunk))})",
+                        chunk,
+                    ))
+        except sqlite3.Error:
+            return {}
+        return texts
+
+    def _write(self, rows: List[Tuple[str, str]]) -> None:
+        # No fsync: the cache is a memo, and a row lost to a crash is a
+        # miss.  Closing without COMMIT rolls the transaction back.
+        with closing(sqlite3.connect(
+            self._file, timeout=_LOCK_TIMEOUT, isolation_level=None
+        )) as connection:
+            connection.execute("PRAGMA synchronous=OFF")
+            connection.execute("BEGIN IMMEDIATE")
+            connection.execute(
+                "CREATE TABLE IF NOT EXISTS cells "
+                "(key TEXT PRIMARY KEY, text TEXT NOT NULL)"
+            )
+            connection.executemany(
+                "INSERT OR REPLACE INTO cells (key, text) VALUES (?, ?)", rows
+            )
+            connection.execute("COMMIT")

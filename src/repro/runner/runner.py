@@ -24,9 +24,11 @@ output is **bit-for-bit identical for workers=1 and workers=N**:
 * every cell of a group is scored from the group's tallies under its own
   quorum model (:func:`~repro.itsys.simulation.result_from_tallies`), so a
   grid crossing ``3f+1`` with ``2f+1`` simulates each trajectory once;
-* with a :class:`~repro.runner.cache.ResultCache` attached, cell results are
-  looked up by content address before any simulation work is scheduled, so a
-  warm sweep performs **zero** simulation calls.
+* with a :class:`~repro.runner.cache.ResultCache` attached, every cell's
+  result is looked up by content address in one query before any
+  simulation work is scheduled, so a warm sweep performs **zero**
+  simulation calls, and the newly simulated cells are written in one
+  transaction.
 
 ``benchmarks/bench_sweep.py`` gates the speedup and the determinism;
 ``tests/runner/`` property-tests both against random corpora.
@@ -393,29 +395,30 @@ class GridRunner:
         """Execute every cell of the grid and return the merged report."""
         started = CLOCK.perf()
         cells = grid.expand()
-        merged: Dict[int, SimulationResult] = {}
-        cached: Dict[int, bool] = {}
-        pending: List[Tuple[int, GridCell]] = []
-        keys: Dict[int, str] = {}
-        scopes: Dict[int, str] = {}
-        for index, cell in enumerate(cells):
-            scopes[index] = self.scope_digest(cell)
-            if self._cache is not None:
-                keys[index] = cell_key(
-                    scopes[index],
+        scopes = [self.scope_digest(cell) for cell in cells]
+        keys: List[str] = []
+        # Cache-served results, by grid index.
+        hits: Dict[int, SimulationResult] = {}
+        if self._cache is not None:
+            keys = [
+                cell_key(
+                    scope,
                     cell,
                     self._seed,
                     self._engine,
                     configuration=self._configuration.value,
                     catalogued=self._catalogued,
                 )
-                hit = self._cache.get(keys[index])
-                if hit is not None:
-                    merged[index] = hit
-                    cached[index] = True
-                    continue
-            pending.append((index, cell))
-            cached[index] = False
+                for scope, cell in zip(scopes, cells)
+            ]
+            found = self._cache.get_many(keys)
+            hits = {
+                index: found[key] for index, key in enumerate(keys) if key in found
+            }
+        merged = dict(hits)
+        pending = [
+            (index, cell) for index, cell in enumerate(cells) if index not in hits
+        ]
         if pending:
             groups = _trajectory_groups(pending)
             if self._workers == 1:
@@ -423,11 +426,11 @@ class GridRunner:
             else:
                 self._run_pooled(groups, merged)
             if self._cache is not None:
-                for index, cell in pending:
-                    self._cache.put(keys[index], cell, merged[index])
-        served = sum(1 for was_cached in cached.values() if was_cached)
-        if served:
-            self._cells_counter.inc(served, origin="cached")
+                self._cache.put_many(
+                    (keys[index], cell, merged[index]) for index, cell in pending
+                )
+        if hits:
+            self._cells_counter.inc(len(hits), origin="cached")
         if pending:
             self._cells_counter.inc(len(pending), origin="simulated")
         return SweepReport(
@@ -435,7 +438,7 @@ class GridRunner:
                 CellResult(
                     cell=cell,
                     result=merged[index],
-                    cached=cached[index],
+                    cached=index in hits,
                     scope_digest=scopes[index],
                 )
                 for index, cell in enumerate(cells)

@@ -105,6 +105,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Idle keep-alive connections are closed after this many seconds.
 IDLE_TIMEOUT = 30.0
 
+#: Seconds a stopping server waits for the handlers of the connections it
+#: closes; a handler still inside a request after that is cancelled.
+_CLOSE_GRACE = 2.0
+
 _STATUS_REASONS = {
     200: "OK", 202: "Accepted", 304: "Not Modified", 400: "Bad Request",
     404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
@@ -1071,7 +1075,9 @@ async def serve_and_drain(
     bound ``(host, port)`` addresses, in order, and the ``stop`` future,
     which :func:`request_stop` resolves with a drain grace in seconds.  Once
     it does, the listeners close, running jobs get that grace to finish
-    (``drain_async``) and the request pool is released (``shutdown``).
+    (``drain_async``), the connections still open are closed and their
+    handlers awaited for up to ``_CLOSE_GRACE`` seconds, and the request
+    pool is released (``shutdown``).
     """
     loop = asyncio.get_running_loop()
     stop = loop.create_future()
@@ -1079,9 +1085,16 @@ async def serve_and_drain(
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError):  # Windows loops
                 loop.add_signal_handler(signum, request_stop, stop, app.config.drain_grace)
+    # Each open connection's handler task, and its writer.
+    connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     def handle(reader, writer):
-        return _handle_connection(app, reader, writer)
+        # The task is created here, not by the stream, so the stop below
+        # can close the connection and let its handler end instead of
+        # leaving it to the cancellation at the end of the loop.
+        task = loop.create_task(_handle_connection(app, reader, writer))
+        connections[task] = writer
+        task.add_done_callback(connections.pop)
 
     servers = []
     try:
@@ -1093,11 +1106,25 @@ async def serve_and_drain(
         on_bound([server.sockets[0].getsockname()[:2] for server in servers], stop)
         grace = await stop
     finally:
-        # Open connections are cancelled when the loop ends: ``wait_closed``
+        # Stop accepting, then let the accepts already under way make their
+        # transports: a server closed before that leaks the accepted socket.
+        # Open connections are closed after the drain: ``wait_closed``
         # (Python 3.12+) would hold the drain behind idle keep-alive clients.
+        for server in servers:
+            for sock in server.sockets:
+                with contextlib.suppress(NotImplementedError):  # Windows loops
+                    loop.remove_reader(sock)
+        await asyncio.sleep(0)
         for server in servers:
             server.close()
     drained = await app.drain_async(grace)
+    # An idle keep-alive client reads EOF once its transport closes, so its
+    # handler returns at once; a bound keeps a slow request from holding up
+    # the stop.
+    for writer in connections.values():
+        writer.close()
+    if connections:
+        await asyncio.wait(list(connections), timeout=_CLOSE_GRACE)
     app.shutdown()
     return drained
 
@@ -1133,8 +1160,8 @@ class LoopThread:
     passes to ``ready(value, stop)`` once it listens, or raises
     ``RuntimeError`` when a bind fails first.  :meth:`stop` resolves
     ``stop`` with a value from any thread, joins the thread and returns
-    what ``main`` returned; tasks ``main`` leaves behind (open
-    connections) are cancelled before the loop closes.
+    what ``main`` returned; tasks ``main`` leaves behind are cancelled
+    before the loop closes.
     :class:`ServiceServer` and the cluster's front router run on it.
     """
 

@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+from repro.core.constants import OS_CATALOG
 from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
 from repro.core.exceptions import DatabaseError
 from repro.db.database import VulnerabilityDatabase
@@ -30,6 +31,35 @@ class TestSchema:
     def test_catalog_registration_is_idempotent(self, db):
         db.register_os_catalog()
         assert len(db.os_names()) == 11
+
+    def test_a_fresh_database_gets_every_catalogue_row(self):
+        with VulnerabilityDatabase() as database:
+            IngestPipeline(database=database)
+            releases = set(database.connection.execute(
+                "SELECT name, version, year FROM os JOIN os_release USING (os_id)"
+            ).fetchall())
+            assert database.os_names() == list(OS_CATALOG)
+        assert {tuple(row) for row in releases} == {
+            (os_obj.name, release.version, release.year)
+            for os_obj in OS_CATALOG.values()
+            for release in os_obj.releases
+        }
+
+    def test_a_stored_catalogue_is_read_not_rewritten(self, db):
+        statements = []
+        db.connection.set_trace_callback(statements.append)
+        db.register_os_catalog()
+        assert not [sql for sql in statements if not sql.startswith("SELECT")]
+        # A missing release row is written back by the next registration.
+        with db.transaction() as connection:
+            connection.execute("DELETE FROM os_release WHERE version = "
+                               "(SELECT MIN(version) FROM os_release)")
+        statements.clear()
+        db.register_os_catalog()
+        db.connection.set_trace_callback(None)
+        assert statements.count("COMMIT") == 1
+        (count,) = db.connection.execute("SELECT COUNT(*) FROM os_release").fetchone()
+        assert count == sum(len(os_obj.releases) for os_obj in OS_CATALOG.values())
 
     def test_os_names_registered(self, db):
         assert set(db.os_names()) == {

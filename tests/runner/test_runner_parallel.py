@@ -13,6 +13,8 @@ deterministic unit tests in this directory cover the edge cases.
 
 import datetime as dt
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +24,20 @@ from repro.core.enums import AccessVector, ComponentClass, ValidityStatus
 from repro.core.exceptions import SimulationError
 from repro.core.models import CVSSVector, VulnerabilityEntry
 from repro.itsys.simulation import CompromiseSimulation
-from repro.runner import ArrivalSpec, ExperimentGrid, GridRunner, ResultCache
+from repro.runner import (
+    ArrivalSpec,
+    ExperimentGrid,
+    GridRunner,
+    ResultCache,
+    result_to_json,
+)
+from repro.runner.cache import CACHE_FILE
+
+def _rows(cache):
+    """Every stored ``(key, text)`` row of a cache, as a dict."""
+    with closing(sqlite3.connect(cache.cache_dir / CACHE_FILE)) as connection:
+        return dict(connection.execute("SELECT key, text FROM cells"))
+
 
 OS_POOL = ("Debian", "RedHat", "OpenBSD", "Solaris", "Windows2000", "Windows2003")
 
@@ -88,15 +103,17 @@ def test_workers_one_and_four_merge_identically(entries, grid, seed):
 )
 @given(entries=corpora(), grid=grids(), seed=st.integers(0, 10_000))
 def test_cache_hits_are_byte_identical_to_cold_runs(entries, grid, seed, tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("sweep-cache")
-    cold = GridRunner(
-        entries, seed=seed, workers=1, cache=ResultCache(cache_dir)
-    ).run(grid)
-    cold_bytes = {
-        path.name: path.read_bytes() for path in cache_dir.glob("*.json")
+    cache = ResultCache(tmp_path_factory.mktemp("sweep-cache"))
+    cold = GridRunner(entries, seed=seed, workers=1, cache=cache).run(grid)
+    cold_rows = _rows(cache)
+    # One row per cell, each holding the result the cold sweep reported.
+    records = [json.loads(text) for text in cold_rows.values()]
+    assert len(records) == len(cold.cells) > 0
+    assert {record["cell_id"]: record["result"] for record in records} == {
+        cell.cell.cell_id: result_to_json(cell.result) for cell in cold.cells
     }
     warm = GridRunner(
-        entries, seed=seed, workers=1, cache=ResultCache(cache_dir)
+        entries, seed=seed, workers=1, cache=ResultCache(cache.cache_dir)
     ).run(grid)
     assert warm.simulated_cells == 0
     assert warm.results() == cold.results()
@@ -104,10 +121,8 @@ def test_cache_hits_are_byte_identical_to_cold_runs(entries, grid, seed, tmp_pat
     assert json.dumps(warm.to_json_payload(), sort_keys=True) == json.dumps(
         cold.to_json_payload(), sort_keys=True
     )
-    # ...and never rewrites the cache files.
-    assert {
-        path.name: path.read_bytes() for path in cache_dir.glob("*.json")
-    } == cold_bytes
+    # ...and never rewrites the cached rows.
+    assert _rows(cache) == cold_rows
 
 
 def test_paper_corpus_sweep_through_the_pool_matches_serial_json(corpus):

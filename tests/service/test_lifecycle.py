@@ -93,7 +93,55 @@ class TestReproServe:
         assert lines[-1].strip() == "shutdown complete", output
 
 
+#: Twenty rounds of start, one request, two idle clients (one kept alive
+#: after a request, one connected just before the stop), stop.
+_IDLE_CLIENTS_AT_STOP = """
+import socket, time, urllib.request
+from repro.service import (
+    DiversityService, ServiceConfig, ServiceServer, StaticDatasetProvider,
+)
+from repro.synthetic.corpus import build_corpus
+
+entries = build_corpus().entries
+slowest = 0.0
+for _ in range(20):
+    server = ServiceServer(
+        DiversityService(ServiceConfig(), StaticDatasetProvider(entries, label="t"))
+    )
+    base = server.start()
+    with urllib.request.urlopen(base + "/healthz") as response:
+        response.read()
+    address = base[len("http://"):].rsplit(":", 1)
+    address = (address[0], int(address[1]))
+    kept = socket.create_connection(address)
+    kept.sendall(b"GET /healthz HTTP/1.1\\r\\nHost: t\\r\\n\\r\\n")
+    assert kept.recv(65536).startswith(b"HTTP/1.1 200")
+    fresh = socket.create_connection(address)
+    started = time.monotonic()
+    assert server.stop() is True
+    slowest = max(slowest, time.monotonic() - started)
+    assert kept.recv(65536) == b""  # closed by the server, in order
+    kept.close()
+    fresh.close()
+print(f"slowest stop {slowest:.3f} s")
+"""
+
+
 class TestServiceServer:
+    def test_idle_clients_at_stop_are_closed_without_warnings(self):
+        completed = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", _IDLE_CLIENTS_AT_STOP],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "ResourceWarning" not in completed.stderr, completed.stderr
+        assert "CancelledError" not in completed.stderr, completed.stderr
+        slowest = float(completed.stdout.split()[-2])
+        assert slowest < 5.0, completed.stdout
+
     def test_stop_returns_true_only_once_the_running_job_is_done(self, corpus):
         app = make_app(corpus)
         server = ServiceServer(app)

@@ -165,12 +165,13 @@ class TestOneTransactionPerDelta:
         return database
 
     @pytest.mark.parametrize("size", [1, 10, 38])
-    def test_a_delta_commits_twice_whatever_its_size(self, tmp_path, size):
+    def test_a_delta_commits_once_whatever_its_size(self, tmp_path, size):
         database = self._ledger(tmp_path)
         statements = []
         database.connection.set_trace_callback(statements.append)
         # As the ingest endpoint does it: a fresh pipeline per delta, whose
-        # catalogue registration is the first of the two commits.
+        # catalogue registration finds the catalogue stored and commits
+        # nothing.
         delta = DeltaIngestPipeline(IngestPipeline(database=database))
         report = delta.apply_raw(
             [self._revision(index) for index in range(size)]
@@ -183,7 +184,7 @@ class TestOneTransactionPerDelta:
         assert (report.modified, report.added, report.removed) == (size, 1, 1)
         assert report.snapshot.modified == size
         commits = [sql for sql in statements if sql.strip().upper() == "COMMIT"]
-        assert len(commits) == 2
+        assert len(commits) == 1
 
     def test_a_delta_that_fails_part_way_changes_nothing(
         self, tmp_path, monkeypatch
