@@ -1,9 +1,13 @@
 """Setuptools entry point and the package metadata.
 
-numpy and networkx are required: networkx backs the ``graph`` replica-set
-selection strategy (``GET /v1/selection?strategy=graph``).  scipy is the
-optional ``fit`` extra (``pip install .[fit]``): only the Alhazmi-Malaiya
-logistic fit, ``DiscoveryModelAnalysis.fit_logistic``, imports it.
+numpy and networkx are required, but neither loads unless it is used.
+numpy backs only the packed query engine (``--engine packed``) and the
+discovery-model fits (``repro.analysis.discovery``); the tables, the
+experiments, simulations, sweeps and the service run without it.  networkx
+backs the ``graph`` replica-set selection strategy (``GET
+/v1/selection?strategy=graph``).  scipy is the optional ``fit`` extra
+(``pip install .[fit]``): only the Alhazmi-Malaiya logistic fit,
+``DiscoveryModelAnalysis.fit_logistic``, imports it.
 """
 
 from setuptools import find_packages, setup

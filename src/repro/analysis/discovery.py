@@ -16,22 +16,25 @@ Two models:
   found.
 
 Both are fitted with least squares, and compared with the coefficient of
-determination R².  The linear fit needs numpy only.  The logistic fit uses
+determination R².  Both fits need numpy, which they import in their bodies,
+as :meth:`ModelFit.predict` does.  The logistic fit also uses
 ``scipy.optimize.curve_fit``; scipy is the optional ``fit`` extra
 (``pip install .[fit]``) and is imported inside
-:meth:`DiscoveryModelAnalysis.fit_logistic`, so importing this module (and
-:mod:`repro.analysis`) does not load it.
+:meth:`DiscoveryModelAnalysis.fit_logistic`.  So importing this module (and
+:mod:`repro.analysis`) loads neither.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.analysis.temporal import TemporalAnalysis
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,15 @@ class ModelFit:
         if self.model == "linear":
             a, b = self.parameters
             return a + b * t
+        import numpy as np
+
         a, b, c = self.parameters
         return b / (1.0 + c * np.exp(-a * b * t))
 
 
 def _r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
-    residual = float(np.sum((observed - predicted) ** 2))
-    total = float(np.sum((observed - observed.mean()) ** 2))
+    residual = float(((observed - predicted) ** 2).sum())
+    total = float(((observed - observed.mean()) ** 2).sum())
     if total == 0.0:
         return 1.0 if residual == 0.0 else 0.0
     return 1.0 - residual / total
@@ -79,16 +84,18 @@ class DiscoveryModelAnalysis:
         """(years, cumulative counts) for one OS, starting at its first report."""
         series = self._temporal.series_for(os_name)
         years = sorted(series)
-        counts = np.cumsum([series[year] for year in years])
+        counts = list(itertools.accumulate(series[year] for year in years))
         # Trim leading years with zero reports so models are not forced
         # through a long flat prefix (recent OSes like Windows 2008).
         first_nonzero = next((i for i, value in enumerate(counts) if value > 0), 0)
-        return years[first_nonzero:], [int(v) for v in counts[first_nonzero:]]
+        return years[first_nonzero:], counts[first_nonzero:]
 
     # -- fitting -----------------------------------------------------------------
 
     def fit_linear(self, os_name: str) -> ModelFit:
         """Least-squares linear fit of the cumulative count."""
+        import numpy as np
+
         years, cumulative = self.cumulative_series(os_name)
         if len(years) < 2:
             raise ValueError(f"not enough data to fit a model for {os_name}")
@@ -106,6 +113,8 @@ class DiscoveryModelAnalysis:
 
     def fit_logistic(self, os_name: str) -> ModelFit:
         """Least-squares Alhazmi-Malaiya logistic fit of the cumulative count."""
+        import numpy as np
+
         years, cumulative = self.cumulative_series(os_name)
         if len(years) < 4:
             raise ValueError(f"not enough data to fit a logistic model for {os_name}")

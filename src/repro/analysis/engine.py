@@ -43,23 +43,30 @@ popcount for intersections) and answers whole pair/k-set workloads by
 :func:`combination_counts`, so catalogue-wide matrices cost work
 proportional to the set bits rather than to combinations x entries.  All
 three engines return identical values in identical order.
+
+Only the packed engine uses numpy, so each function and method that does
+imports it in its body: importing this module, or building and querying
+the bitset index, does not load numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.models import VulnerabilityEntry
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import numpy as np
+
 Pair = Tuple[str, str]
 
-#: ``np.bitwise_count`` landed in numpy 2.0; older interpreters fall back to
-#: an ``unpackbits``-based popcount (same values, one extra expansion pass).
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+#: Whether :func:`word_popcounts` may use ``np.bitwise_count``, which landed
+#: in numpy 2.0; ``None`` asks numpy on each call, so importing this module
+#: does not load it.  Without it, popcounts fall back to ``unpackbits`` (same
+#: values, one extra expansion pass).
+_HAS_BITWISE_COUNT: Optional[bool] = None
 
 #: Ceiling on the combination space (``C(m, k)`` ranks) and on the total
 #: combination codes a sparse k-set count may materialise before
@@ -79,6 +86,8 @@ def combination_index_array(m: int, k: int) -> np.ndarray:
     vectorised extension (no per-combination Python loop), so million-row
     combination tables cost milliseconds.
     """
+    import numpy as np
+
     if k <= 0 or k > m:
         return np.zeros((0, max(k, 0)), dtype=np.int64)
     combos = np.arange(m - k + 1, dtype=np.int64)[:, None]
@@ -108,6 +117,8 @@ def packed_set_positions(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     orders of magnitude cheaper than ``np.nonzero`` on the boolean matrix
     for sparse incidence data.
     """
+    import numpy as np
+
     word_rows, word_columns = np.nonzero(rows)
     if not word_rows.size:
         empty = np.zeros(0, dtype=np.int64)
@@ -154,6 +165,8 @@ def combination_counts(
     contributed combinations would exceed it (very broad entries), returns
     ``None`` so the caller can fall back to the depth-first fold.
     """
+    import numpy as np
+
     m = rows.shape[0]
     acc = np.zeros(math.comb(m, k), dtype=np.int64)
     set_rows, set_columns = packed_set_positions(rows)
@@ -217,7 +230,12 @@ def word_popcounts(words: np.ndarray) -> np.ndarray:
     ``unpackbits`` expansion otherwise -- both lookup-free and endianness
     -agnostic (each word is counted whole).
     """
-    if _HAS_BITWISE_COUNT:
+    import numpy as np
+
+    fast = _HAS_BITWISE_COUNT
+    if fast is None:
+        fast = hasattr(np, "bitwise_count")
+    if fast:
         return np.bitwise_count(words)
     as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape + (8,))
     return np.unpackbits(as_bytes, axis=-1).sum(axis=-1, dtype=np.uint64)
@@ -231,6 +249,8 @@ def pack_bool_matrix(matrix: np.ndarray) -> np.ndarray:
     byte and native word order across bytes); padding bits beyond ``m`` are
     zero, so popcounts over whole rows never over-count.
     """
+    import numpy as np
+
     rows, columns = matrix.shape
     words = (columns + 63) // 64
     packed = np.packbits(matrix, axis=1, bitorder="little")
@@ -512,6 +532,8 @@ class PackedIndex:
     def __init__(
         self, entries: Sequence[VulnerabilityEntry], os_names: Sequence[str]
     ) -> None:
+        import numpy as np
+
         self._entries: Tuple[VulnerabilityEntry, ...] = tuple(entries)
         self._os_names: Tuple[str, ...] = tuple(os_names)
         self._os_index: Dict[str, int] = {
@@ -537,6 +559,8 @@ class PackedIndex:
         one platform unpacks to an identical index on any other
         (see :meth:`IncidenceIndex.__getstate__` for why this is explicit).
         """
+        import numpy as np
+
         return (
             self._entries,
             self._os_names,
@@ -544,6 +568,8 @@ class PackedIndex:
         )
 
     def __setstate__(self, state: Tuple[object, ...]) -> None:
+        import numpy as np
+
         entries, os_names, packed_bool = state
         self._entries = entries
         self._os_names = os_names
@@ -576,6 +602,8 @@ class PackedIndex:
 
     def os_row(self, os_name: str) -> np.ndarray:
         """Packed word row of the OS (all-zero for an uncatalogued name)."""
+        import numpy as np
+
         position = self._os_index.get(os_name)
         if position is None:
             return np.zeros(self._rows.shape[1], dtype=np.uint64)
@@ -604,6 +632,8 @@ class PackedIndex:
 
     def shared_entries(self, os_names: Sequence[str]) -> List[VulnerabilityEntry]:
         """Entries affecting all the given OSes, in dataset order."""
+        import numpy as np
+
         names = tuple(os_names)
         if not names or not self._entries:
             return []
@@ -623,6 +653,8 @@ class PackedIndex:
 
     def affecting_at_least(self, k: int) -> List[VulnerabilityEntry]:
         """Entries affecting at least ``k`` catalogued OSes, in dataset order."""
+        import numpy as np
+
         if not self._entries:
             return []
         counts = self._bool.sum(axis=0)
@@ -631,6 +663,8 @@ class PackedIndex:
 
     def breadth_histogram(self) -> Dict[int, int]:
         """Histogram of per-entry breadth over the catalogued OSes (breadth >= 1)."""
+        import numpy as np
+
         if not self._entries:
             return {}
         counts = np.bincount(self._bool.sum(axis=0))
@@ -644,6 +678,8 @@ class PackedIndex:
 
     def _gather_rows(self, os_names: Sequence[str]) -> np.ndarray:
         """Packed rows for the names, unknown names as all-zero rows."""
+        import numpy as np
+
         gathered = np.zeros((len(os_names), self._rows.shape[1]), dtype=np.uint64)
         for slot, name in enumerate(os_names):
             position = self._os_index.get(name)
@@ -660,6 +696,8 @@ class PackedIndex:
         bits of the incidence matrix, not to ``n_os**2 * n_entries`` -- and
         cached, so every subsequent pair query is a pure gather.
         """
+        import numpy as np
+
         if self._gram is None:
             n = len(self._os_names)
             gram = np.zeros((n, n), dtype=np.int64)
@@ -683,6 +721,8 @@ class PackedIndex:
         columns.  This is the array-shaped sibling of :meth:`pair_matrix`
         for consumers (benchmarks, selection) that do not need dict keys.
         """
+        import numpy as np
+
         names = tuple(os_names)
         gram = self._pair_gram()
         positions = np.fromiter(
@@ -703,6 +743,8 @@ class PackedIndex:
         is assembled in a single C-level ``tolist``/``zip`` pass, so the
         per-pair cost is dict insertion, not AND + popcount.
         """
+        import numpy as np
+
         names = tuple(os_names)
         count = len(names)
         if count < 2:
@@ -720,6 +762,8 @@ class PackedIndex:
         counts come from one column-walking :func:`combination_counts` pass;
         otherwise from the depth-first fold.
         """
+        import numpy as np
+
         names = tuple(os_names)
         m = len(names)
         if not 0 < k <= m:
@@ -770,6 +814,8 @@ class PackedIndex:
         the accumulator against the whole remaining row block at once and
         popcounts it in one vectorised pass.
         """
+        import numpy as np
+
         rows = self._gather_rows(names)
         totals: Dict[Tuple[str, ...], int] = {}
 
@@ -825,6 +871,8 @@ class PackedIndex:
         :meth:`IncidenceIndex.compromising_entries`; the weighted membership
         sum is one integer matrix-vector product over the boolean rows.
         """
+        import numpy as np
+
         weights: Dict[int, int] = {}
         for name in os_names:
             position = self._os_index.get(name)

@@ -7,9 +7,8 @@ valleys coincide within the Windows and Linux families.
 
 from __future__ import annotations
 
+import statistics
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.analysis.dataset import VulnerabilityDataset
 from repro.core.constants import FAMILY_MEMBERS, OS_NAMES, STUDY_PERIOD
@@ -86,19 +85,21 @@ class TemporalAnalysis:
         correlations: List[float] = []
         for i, name_a in enumerate(members):
             for name_b in members[i + 1:]:
-                a = np.array([series[name_a][year] for year in self.years], dtype=float)
-                b = np.array([series[name_b][year] for year in self.years], dtype=float)
-                mask = ~((a == 0) & (b == 0))
-                if mask.sum() < 3:
+                pairs = [
+                    (series[name_a][year], series[name_b][year])
+                    for year in self.years
+                    if series[name_a][year] or series[name_b][year]
+                ]
+                if len(pairs) < 3:
                     continue
-                a, b = a[mask], b[mask]
-                if a.std() == 0 or b.std() == 0:
+                a, b = zip(*pairs)
+                if len(set(a)) == 1 or len(set(b)) == 1:
                     correlations.append(0.0)
                     continue
-                correlations.append(float(np.corrcoef(a, b)[0, 1]))
+                correlations.append(statistics.correlation(a, b))
         if not correlations:
             return 0.0
-        return float(np.mean(correlations))
+        return statistics.fmean(correlations)
 
     def recent_vs_past(
         self, os_name: str, split_year: int = 2006
@@ -107,8 +108,8 @@ class TemporalAnalysis:
         series = self.series_for(os_name)
         past = [count for year, count in series.items() if year < split_year]
         recent = [count for year, count in series.items() if year >= split_year]
-        past_avg = float(np.mean(past)) if past else 0.0
-        recent_avg = float(np.mean(recent)) if recent else 0.0
+        past_avg = statistics.fmean(past) if past else 0.0
+        recent_avg = statistics.fmean(recent) if recent else 0.0
         return past_avg, recent_avg
 
     def entries_before_release(self, os_name: str) -> List[str]:

@@ -713,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared-vulnerability engine: the precompiled bitset "
                              "incidence index (default), the naive set "
                              "re-intersection kept for cross-checking, or the "
-                             "numpy packed-word index for large catalogues; "
+                             "numpy packed-word index for large catalogues "
+                             "(the only engine that loads numpy); "
                              "simulate and sweep accept bitset or naive")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -56,6 +56,8 @@ from repro.service.server import (
     DiversityService,
     Listener,
     LoopThread,
+    OpenConnections,
+    close_listeners,
     serve_and_drain,
 )
 
@@ -186,6 +188,9 @@ class FrontRouter:
     chunked 501s and half-closed streams all behave exactly as if the
     client had dialled the worker directly.  Runs its own event loop on a
     daemon thread so :class:`ServiceCluster` can drive it synchronously.
+    :meth:`stop` closes the listener, then both streams of every open relay,
+    and awaits the relays as :func:`~repro.service.server.serve_and_drain`
+    awaits its connections.
     """
 
     def __init__(
@@ -197,6 +202,8 @@ class FrontRouter:
         self._port = port
         self._backends = list(backends)
         self._next = 0
+        # Each open relay's task, its client stream and its worker stream.
+        self._relays = OpenConnections(self._relay)
         self._thread = LoopThread("repro-front-router")
         self.bound_port: Optional[int] = None
 
@@ -210,6 +217,7 @@ class FrontRouter:
         except OSError:
             writer.close()
             return
+        self._relays.add(upstream_writer)
         try:
             await asyncio.gather(
                 _pump(reader, upstream_writer),
@@ -226,10 +234,11 @@ class FrontRouter:
 
     async def _proxy(self, ready) -> None:
         stop = asyncio.get_running_loop().create_future()
-        server = await asyncio.start_server(self._relay, self._host, self._port)
+        server = await asyncio.start_server(self._relays, self._host, self._port)
         ready(server.sockets[0].getsockname()[1], stop)
         await stop
-        server.close()
+        await close_listeners([server])
+        await self._relays.close()
 
     def start(self) -> int:
         """Bind and proxy on a background thread; returns the bound port."""

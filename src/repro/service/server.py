@@ -1063,6 +1063,64 @@ def request_stop(stop: "asyncio.Future", value: object) -> None:
         stop.set_result(value)
 
 
+async def close_listeners(servers: Sequence[asyncio.AbstractServer]) -> None:
+    """Stop accepting, then close the listening servers.
+
+    The accepts already under way get their transports first: a server
+    closed before that leaks the accepted socket.  The connections stay
+    open (see :meth:`OpenConnections.close`): ``wait_closed`` (Python
+    3.12+) would wait for idle keep-alive clients.
+    """
+    loop = asyncio.get_running_loop()
+    for server in servers:
+        for sock in server.sockets:
+            with contextlib.suppress(NotImplementedError):  # Windows loops
+                loop.remove_reader(sock)
+    await asyncio.sleep(0)
+    for server in servers:
+        server.close()
+
+
+class OpenConnections:
+    """The handler task and streams of each open connection of a server.
+
+    Given to ``asyncio.start_server`` as its client callback, it creates each
+    connection's handler task itself rather than leaving that to the stream,
+    so :meth:`close` can close the connections still open at a stop and let
+    their handlers end, instead of leaving them to the cancellation at the
+    end of the loop.
+    """
+
+    def __init__(
+        self,
+        handler: Callable[[asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]],
+    ) -> None:
+        self._handler = handler
+        self._streams: Dict[asyncio.Task, List[asyncio.StreamWriter]] = {}
+
+    def __call__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.get_running_loop().create_task(self._handler(reader, writer))
+        self._streams[task] = [writer]
+        task.add_done_callback(self._streams.pop)
+
+    def add(self, writer: asyncio.StreamWriter) -> None:
+        """Close ``writer`` too when the calling handler's connection closes."""
+        self._streams[asyncio.current_task()].append(writer)
+
+    async def close(self) -> None:
+        """Close every open connection, then await the handlers.
+
+        An idle keep-alive client reads EOF once its transport closes, so its
+        handler returns at once; waiting at most ``_CLOSE_GRACE`` seconds
+        keeps a slow request from holding up the stop.
+        """
+        for writers in self._streams.values():
+            for writer in writers:
+                writer.close()
+        if self._streams:
+            await asyncio.wait(list(self._streams), timeout=_CLOSE_GRACE)
+
+
 async def serve_and_drain(
     app: DiversityService,
     listeners: Sequence[Listener],
@@ -1085,46 +1143,20 @@ async def serve_and_drain(
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError):  # Windows loops
                 loop.add_signal_handler(signum, request_stop, stop, app.config.drain_grace)
-    # Each open connection's handler task, and its writer.
-    connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
-
-    def handle(reader, writer):
-        # The task is created here, not by the stream, so the stop below
-        # can close the connection and let its handler end instead of
-        # leaving it to the cancellation at the end of the loop.
-        task = loop.create_task(_handle_connection(app, reader, writer))
-        connections[task] = writer
-        task.add_done_callback(connections.pop)
-
+    connections = OpenConnections(functools.partial(_handle_connection, app))
     servers = []
     try:
         for listener in listeners:
             if isinstance(listener, socket.socket):
-                servers.append(await asyncio.start_server(handle, sock=listener))
+                servers.append(await asyncio.start_server(connections, sock=listener))
             else:
-                servers.append(await asyncio.start_server(handle, *listener))
+                servers.append(await asyncio.start_server(connections, *listener))
         on_bound([server.sockets[0].getsockname()[:2] for server in servers], stop)
         grace = await stop
     finally:
-        # Stop accepting, then let the accepts already under way make their
-        # transports: a server closed before that leaks the accepted socket.
-        # Open connections are closed after the drain: ``wait_closed``
-        # (Python 3.12+) would hold the drain behind idle keep-alive clients.
-        for server in servers:
-            for sock in server.sockets:
-                with contextlib.suppress(NotImplementedError):  # Windows loops
-                    loop.remove_reader(sock)
-        await asyncio.sleep(0)
-        for server in servers:
-            server.close()
+        await close_listeners(servers)
     drained = await app.drain_async(grace)
-    # An idle keep-alive client reads EOF once its transport closes, so its
-    # handler returns at once; a bound keeps a slow request from holding up
-    # the stop.
-    for writer in connections.values():
-        writer.close()
-    if connections:
-        await asyncio.wait(list(connections), timeout=_CLOSE_GRACE)
+    await connections.close()
     app.shutdown()
     return drained
 

@@ -4,7 +4,8 @@
 :class:`~repro.service.server.ServiceServer` (a daemon thread stopped by
 ``stop()``) both run :func:`~repro.service.server.serve_and_drain`: bind,
 serve, close the listeners, let running jobs finish, release the pool.
-The cluster's front router shares the server's thread runner.
+The cluster's front router shares the server's thread runner and its
+close step: at a stop, connections still open are closed and awaited.
 """
 
 from __future__ import annotations
@@ -177,7 +178,57 @@ class TestServiceServer:
                 assert json.loads(response.read())["service"] == "repro"
 
 
+#: Twenty rounds of a server, a router in front of it, one request through
+#: the router, two idle clients of the router (one kept alive after a
+#: request, one connected just before the stop), the router's stop.
+_IDLE_RELAYS_AT_STOP = """
+import socket, time, urllib.request
+from repro.service import (
+    DiversityService, FrontRouter, ServiceConfig, ServiceServer, StaticDatasetProvider,
+)
+from repro.synthetic.corpus import build_corpus
+
+entries = build_corpus().entries
+slowest = 0.0
+for _ in range(20):
+    server = ServiceServer(
+        DiversityService(ServiceConfig(), StaticDatasetProvider(entries, label="t"))
+    )
+    backend = server.start()[len("http://"):].rsplit(":", 1)
+    router = FrontRouter("127.0.0.1", 0, [(backend[0], int(backend[1]))])
+    address = ("127.0.0.1", router.start())
+    with urllib.request.urlopen("http://%s:%d/healthz" % address) as response:
+        response.read()
+    kept = socket.create_connection(address)
+    kept.sendall(b"GET /healthz HTTP/1.1\\r\\nHost: t\\r\\n\\r\\n")
+    assert kept.recv(65536).startswith(b"HTTP/1.1 200")
+    fresh = socket.create_connection(address)
+    started = time.monotonic()
+    router.stop()
+    slowest = max(slowest, time.monotonic() - started)
+    assert kept.recv(65536) == b""  # closed by the router, in order
+    kept.close()
+    fresh.close()
+    assert server.stop() is True
+print(f"slowest stop {slowest:.3f} s")
+"""
+
+
 class TestFrontRouterThread:
+    def test_idle_relays_at_stop_are_closed_without_warnings(self):
+        completed = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", _IDLE_RELAYS_AT_STOP],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "ResourceWarning" not in completed.stderr, completed.stderr
+        assert "CancelledError" not in completed.stderr, completed.stderr
+        slowest = float(completed.stdout.split()[-2])
+        assert slowest < 5.0, completed.stdout
+
     def test_a_taken_port_makes_start_raise(self):
         sock, port = _taken_port()
         with sock:

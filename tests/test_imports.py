@@ -1,11 +1,13 @@
 """The import boundary: each heavy dependency loads only where it is used.
 
-scipy is the optional ``fit`` extra, imported only by
+numpy is imported only by the packed engine (``--engine packed``) and the
+discovery-model fits; scipy is the optional ``fit`` extra, imported only by
 ``DiscoveryModelAnalysis.fit_logistic``; networkx is imported only by the
-``graph`` selection strategy.  The CLI, the experiments and the service must
-therefore run with both missing, which the subprocess tests check behind a
-meta-path finder that refuses them.  ``repro`` resolves its re-exports on
-first access, so ``import repro.cli`` loads neither the server nor asyncio.
+``graph`` selection strategy.  The CLI commands and the service must
+therefore run with all three missing, which the subprocess tests check
+behind a meta-path finder that refuses them.  ``repro`` resolves its
+re-exports on first access, so ``import repro.cli`` loads neither the server
+nor asyncio.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ import repro
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Prepended to each child program: refuses scipy and networkx (and their
-#: submodules) as an install without them would.
+#: Prepended to each child program: refuses numpy, scipy and networkx (and
+#: their submodules) as an install without them would.
 BLOCKER = """
 import sys
 
 class _Blocker:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] in ("scipy", "networkx"):
+        if name.partition(".")[0] in ("numpy", "scipy", "networkx"):
             raise ImportError(f"blocked {name}")
         return None
 
@@ -55,7 +57,7 @@ def run_child(program: str, *args: str, blocked: bool = True) -> subprocess.Comp
 
 class TestWithoutScipyOrNetworkx:
     def test_blocker_refuses_scipy_and_networkx(self):
-        for module in ("scipy.optimize", "networkx"):
+        for module in ("numpy", "scipy.optimize", "networkx"):
             child = run_child(f"import {module}")
             assert child.returncode != 0
             assert f"ImportError: blocked {module.partition('.')[0]}" in child.stderr
@@ -69,6 +71,23 @@ class TestWithoutScipyOrNetworkx:
         child = run_child(RUN_CLI, "experiments")
         assert child.returncode == 0, child.stderr
         assert "Table III" in child.stdout
+
+    def test_tables_run(self):
+        child = run_child(RUN_CLI, "tables")
+        assert child.returncode == 0, child.stderr
+        assert "Table VI" in child.stdout
+
+    def test_simulate_runs(self):
+        child = run_child(RUN_CLI, "simulate", "--runs", "20", "--json")
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["engine"] == "bitset"
+
+    def test_sweep_runs(self):
+        child = run_child(
+            RUN_CLI, "sweep", "--runs", "5", "--workers", "1", "--no-cache", "--json"
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["cells"]
 
     def test_service_answers_shared_query(self):
         program = """
@@ -89,12 +108,30 @@ def test_cli_import_loads_no_heavy_module():
     program = """
 import json, sys
 import repro.cli
-print(json.dumps([name for name in ("scipy", "networkx", "asyncio", "repro.service")
+print(json.dumps([name for name in ("numpy", "scipy", "networkx", "asyncio",
+                                    "repro.service")
                   if name in sys.modules]))
 """
     child = run_child(program, blocked=False)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == []
+
+
+def test_numpy_loads_with_the_packed_engine_only():
+    program = """
+import contextlib, io, json, sys
+from repro.cli import main
+
+loaded = []
+for engine in ("bitset", "naive", "packed"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--engine", engine, "table", "--id", "Table III"]) == 0
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+    child = run_child(program, blocked=False)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [False, False, True]
 
 
 @pytest.mark.parametrize("name", repro.__all__)
